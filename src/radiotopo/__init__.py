@@ -13,7 +13,6 @@ from .trees import (
     ShapeCatalog,
     Tree,
     TreeError,
-    ahu,
     center,
     classify_heavy,
     core_subtree,
@@ -37,7 +36,6 @@ __all__ = [
     "Transcript",
     "Tree",
     "TreeError",
-    "ahu",
     "center",
     "classify_heavy",
     "core_subtree",

@@ -77,8 +77,11 @@ class Transcript:
                 _, node, rnd = ln.split()
                 output_round[int(node)] = int(rnd)
                 continue
-            head, tpart, dpart = ln.split(" ", 2)
-            assert head.startswith("R")
+            parts = ln.split(" ")
+            head = f"R{len(records) + 1}"
+            if len(parts) != 3 or parts[0] != head or parts[1][:2] != "T:" or parts[2][:2] != "D:":
+                raise ValueError(f"transcript line {ln!r} is not '{head} T:... D:...'")
+            _, tpart, dpart = parts
             txs = tuple(int(x) for x in tpart[2:].split(",") if x)
             dls = []
             for item in dpart[2:].split(","):

@@ -1,31 +1,25 @@
 """End-to-end runner: label, dispatch, simulate, verify, batch, certify.
 
-Protocol dispatch is total over diameter >= 2 / degree >= 2 and exclusive:
-degree <= 2 runs the line protocol for any diameter, diameter 2 the star
-protocol, diameter 3 the two-hub protocol, everything else the general one.
+Every protocol is one entry of the ordered table ``PROTOCOLS``: the label
+kinds it owns, the trees it applies to, its labeler, its program builder, the
+context its checks need and the checks themselves.  Run, verify and batch all
+select a protocol through the table, by tree shape (the first entry whose
+test applies: degree <= 2 runs the line protocol for any diameter, diameter 2
+the star protocol, diameter 3 the two-hub protocol, everything else the
+general one) or by the kinds of a given label set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
-from .engine import Metrics, Transcript, default_round_budget, simulate
-from .labels import StructuredLabel, encode, scheme_length
-from .scheme import LabeledTree, label_tree
+from .engine import Metrics, NodeProgram, Transcript, default_round_budget, simulate
+from .labels import LabelKind, StructuredLabel, encode, scheme_length
+from .scheme import LabeledTree, MainLabel, label_tree
 from .trees import FormInterner, Tree, all_root_form_ids
 from .generators import GenSpec, generate
-
-
-def dispatch_protocol(tree: Tree) -> str:
-    if tree.n <= 2 or tree.max_degree <= 2:
-        return "line"
-    if tree.diameter == 2:
-        return "star"
-    if tree.diameter == 3:
-        return "d3"
-    return "main"
 
 
 @dataclass
@@ -47,10 +41,9 @@ class RunReport:
         return all(self.node_valid.values()) and all(self.checks.values())
 
     def csv_row(self) -> str:
-        valid = all(self.node_valid.values()) and all(self.checks.values())
         return (
             f"{self.family},{self.delta},{self.diameter},{self.n},{self.seed},"
-            f"{self.protocol},{self.rounds},{self.max_label_bits},{int(valid)}"
+            f"{self.protocol},{self.rounds},{self.max_label_bits},{int(self.ok)}"
         )
 
 
@@ -65,43 +58,10 @@ class RunArtifacts:
     outputs: dict[int, tuple[Tree, int]]
     structured: dict[int, StructuredLabel]
     programs: dict[int, object]
-    labeled: Optional[LabeledTree] = None  # main protocol only
+    # Labeler-side context the checks read: the LabeledTree for main, the
+    # line labels for line, None for star and d3.
+    labeled: object = None
     windows: dict[str, tuple[int, int]] = field(default_factory=dict)
-    line_labels: Optional[dict] = None
-
-
-def structured_labels_for(tree: Tree, protocol: str, star_delta: Optional[int] = None):
-    """Per-node structured labels plus the protocol-specific label objects."""
-    if protocol == "main":
-        labeled = label_tree(tree)
-        return {v: lab.to_structured() for v, lab in labeled.labels.items()}, labeled
-    if protocol == "d3":
-        labels = protocol_small.label_d3(tree)
-        return {v: lab.to_structured() for v, lab in labels.items()}, labels
-    if protocol == "star":
-        delta = star_delta if star_delta is not None else max(3, tree.n - 1)
-        labels = protocol_small.label_star(tree, delta)
-        return {v: lab.to_structured() for v, lab in labels.items()}, labels
-    if protocol == "line":
-        labels = protocol_line.label_line(tree)
-        return {v: lab.to_structured() for v, lab in labels.items()}, labels
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def programs_from_structured(structured: dict[int, StructuredLabel], protocol: str):
-    if protocol == "main":
-        labels = {v: protocol_main.MainLabel.from_structured(s) for v, s in structured.items()}
-        return protocol_main.main_programs(labels)
-    if protocol == "d3":
-        labels = {v: protocol_small.D3Label.from_structured(s) for v, s in structured.items()}
-        return protocol_small.d3_programs(labels)
-    if protocol == "star":
-        labels = {v: protocol_small.StarLabel.from_structured(s) for v, s in structured.items()}
-        return protocol_small.star_programs(labels)
-    if protocol == "line":
-        labels = {v: protocol_line.LineLabel.from_structured(s) for v, s in structured.items()}
-        return protocol_line.line_programs(labels)
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def check_run(tree: Tree, outputs: dict[int, tuple[Tree, int]]) -> dict[int, bool]:
@@ -163,18 +123,155 @@ def check_mod3(transcript: Transcript, line_labels: dict) -> list[int]:
     return bad
 
 
-PROTOCOL_OF_KIND = {
-    "MainScheme": "main",
-    "RootD3": "d3",
-    "HubD3": "d3",
-    "LeafD3": "d3",
-    "LeafD3Null": "d3",
-    "StarLeaf": "star",
-    "StarLeafNull": "star",
-    "StarCenter": "star",
-    "Line": "line",
-    "LineTiny": "line",
+def _main_checks(transcript: Transcript, labeled: LabeledTree):
+    params = labeled.params
+    windows = protocol_main.phase_windows(params.core_size, labeled.rooted.height, params.block_len)
+    spans = sorted(windows.values())
+    checks = {
+        "tr_delivery": not check_tr_delivery(transcript, labeled, windows["collect"]),
+        "round_bound": max(transcript.output_round.values(), default=0) <= windows["assemble"][1],
+        "phase_windows": all(
+            not rec.transmitters or any(lo <= rnd <= hi for lo, hi in spans)
+            for rnd, rec in enumerate(transcript.records, start=1)
+        ),
+    }
+    return checks, windows
+
+
+def _line_checks(transcript: Transcript, line_labels: dict[int, protocol_line.LineLabel]):
+    return {"mod3": not check_mod3(transcript, line_labels)}, {}
+
+
+def _structured(labels: dict) -> dict[int, StructuredLabel]:
+    return {v: lab.to_structured() for v, lab in labels.items()}
+
+
+def _decoded(label_cls, structured: dict[int, StructuredLabel]) -> dict:
+    return {v: label_cls.from_structured(s) for v, s in structured.items()}
+
+
+def _label_main(tree: Tree, star_delta: Optional[int]):
+    labeled = label_tree(tree)
+    return _structured(labeled.labels), labeled
+
+
+def _label_line(tree: Tree, star_delta: Optional[int]):
+    labels = protocol_line.label_line(tree)
+    return _structured(labels), labels
+
+
+def _carrier_programs(structured: dict[int, StructuredLabel]) -> dict[int, NodeProgram]:
+    return protocol_small.carrier_programs(_decoded(protocol_small.CarrierLabel, structured))
+
+
+@dataclass(frozen=True)
+class Protocol:
+    name: str
+    kinds: frozenset[LabelKind]  # the label kinds this protocol owns
+    applies: Callable[[Tree], bool]  # tried in table order
+    # (tree, star class bound) -> (structured labels, check context)
+    label: Callable[[Tree, Optional[int]], tuple[dict[int, StructuredLabel], object]]
+    programs: Callable[[dict[int, StructuredLabel]], dict[int, NodeProgram]]
+    context: Callable[[Tree, dict[int, StructuredLabel]], object]  # from given labels
+    # (transcript, check context) -> (checks, phase windows)
+    checks: Callable[[Transcript, object], tuple[dict[str, bool], dict[str, tuple[int, int]]]]
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    p.name: p
+    for p in (
+        Protocol(
+            name="line",
+            kinds=frozenset({LabelKind.LINE, LabelKind.LINE_TINY}),
+            applies=lambda tree: tree.n <= 2 or tree.max_degree <= 2,
+            label=_label_line,
+            programs=lambda s: protocol_line.line_programs(_decoded(protocol_line.LineLabel, s)),
+            context=lambda tree, s: _decoded(protocol_line.LineLabel, s),
+            checks=_line_checks,
+        ),
+        Protocol(
+            name="star",
+            kinds=frozenset({LabelKind.STAR_LEAF, LabelKind.STAR_LEAF_NULL, LabelKind.STAR_CENTER}),
+            applies=lambda tree: tree.diameter == 2,
+            label=lambda tree, star_delta: (
+                _structured(protocol_small.label_star(tree, star_delta)), None
+            ),
+            programs=_carrier_programs,
+            context=lambda tree, s: None,
+            checks=lambda transcript, context: ({}, {}),
+        ),
+        Protocol(
+            name="d3",
+            kinds=frozenset(
+                {LabelKind.D3_ROOT, LabelKind.D3_HUB, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL}
+            ),
+            applies=lambda tree: tree.diameter == 3,
+            label=lambda tree, star_delta: (_structured(protocol_small.label_d3(tree)), None),
+            programs=_carrier_programs,
+            context=lambda tree, s: None,
+            checks=lambda transcript, context: ({}, {}),
+        ),
+        Protocol(
+            name="main",
+            kinds=frozenset({LabelKind.MAIN_SCHEME}),
+            applies=lambda tree: True,
+            label=_label_main,
+            programs=lambda s: protocol_main.main_programs(_decoded(MainLabel, s)),
+            # The labeler is deterministic, so its side of the run is rebuilt.
+            context=lambda tree, s: label_tree(tree),
+            checks=_main_checks,
+        ),
+    )
 }
+
+
+def dispatch_protocol(tree: Tree) -> str:
+    return next(p.name for p in PROTOCOLS.values() if p.applies(tree))
+
+
+def structured_labels_for(tree: Tree, protocol: str, star_delta: Optional[int] = None):
+    """Per-node structured labels plus the protocol's check context."""
+    return PROTOCOLS[protocol].label(tree, star_delta)
+
+
+def programs_from_structured(structured: dict[int, StructuredLabel], protocol: str):
+    return PROTOCOLS[protocol].programs(structured)
+
+
+def preset_context(tree: Tree, labels: dict[int, StructuredLabel]) -> tuple[str, object]:
+    """The protocol that owns every kind in a given label set, and the
+    context its checks need."""
+    kinds = {lab.kind for lab in labels.values()}
+    owners = sorted(p.name for p in PROTOCOLS.values() if kinds & p.kinds)
+    if len(owners) != 1:
+        raise ValueError(f"labels must belong to one protocol, not {owners}")
+    return owners[0], PROTOCOLS[owners[0]].context(tree, labels)
+
+
+def recording_faults(
+    tree: Tree,
+    labels: dict[int, StructuredLabel],
+    transcript: Transcript,
+    outputs: dict[int, tuple[Tree, int]],
+) -> list[str]:
+    """Why a recorded run of the protocol its labels belong to fails; empty
+    when it passes."""
+    if labels.keys() != set(range(tree.n)):
+        return [f"labels are not for the nodes 0..{tree.n - 1} of the tree"]
+    try:
+        proto, context = preset_context(tree, labels)
+    except ValueError as exc:
+        return [f"labels do not fit the tree: {exc}"]
+    checks, _ = PROTOCOLS[proto].checks(transcript, context)
+    faults = [f"{proto} check {name} failed" for name, good in checks.items() if not good]
+    missing = transcript.output_round.keys() ^ set(range(tree.n))
+    if missing:
+        faults.append(f"nodes without recorded output round: {sorted(missing)}")
+    verdicts = check_run(tree, outputs)
+    invalid = sorted(v for v, good in verdicts.items() if not good)
+    if invalid:
+        faults.append(f"invalid placements: {invalid}")
+    return faults
 
 
 def run_tree(
@@ -188,57 +285,18 @@ def run_tree(
     preset_labels: Optional[dict[int, StructuredLabel]] = None,
 ) -> RunArtifacts:
     if preset_labels is not None:
-        kinds = {PROTOCOL_OF_KIND[lab.kind.value] for lab in preset_labels.values()}
-        if len(kinds) != 1:
-            raise ValueError(f"preset labels mix protocols: {sorted(kinds)}")
-        proto = kinds.pop()
+        proto, context = preset_context(tree, preset_labels)
         if protocol not in ("auto", proto):
             raise ValueError(f"labels are for {proto}, not {protocol}")
         structured = preset_labels
-        proto_labels = None
-        if proto == "main":
-            # Rebuild labeler-side context for window checks and reports.
-            _, proto_labels = structured_labels_for(tree, "main")
-        if proto == "line":
-            from .protocol_line import LineLabel
-
-            proto_labels = {v: LineLabel.from_structured(s) for v, s in structured.items()}
     else:
         proto = dispatch_protocol(tree) if protocol == "auto" else protocol
-        structured, proto_labels = structured_labels_for(tree, proto, star_delta)
+        structured, context = structured_labels_for(tree, proto, star_delta)
     programs = programs_from_structured(structured, proto)
     budget = max_rounds or default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
     outputs, transcript, metrics = simulate(tree, programs, budget)
     node_valid = check_run(tree, outputs)
-    checks: dict[str, bool] = {}
-    windows: dict[str, tuple[int, int]] = {}
-    labeled = proto_labels if proto == "main" else None
-    line_labels = proto_labels if proto == "line" else None
-    if proto == "main":
-        params = labeled.params
-        m2 = params.core_size**2
-        h = labeled.rooted.height
-        e = params.block_len
-        t0 = m2 + 3 * h
-        t1 = t0 + 2 * m2
-        windows = {
-            "core_gossip": (1, m2),
-            "parameter": (m2 + 1, t0),
-            "slot_gossip": (t0 + 1, t0 + m2),
-            "shape_gossip": (t0 + m2 + 1, t1),
-            "collect": (t1 + 1, t1 + 2 * h * e),
-            "assemble": (t1 + 2 * h * e + 1, t1 + 2 * h * e + h + 1),
-        }
-        checks["tr_delivery"] = not check_tr_delivery(transcript, labeled, windows["collect"])
-        bound = 3 * m2 + 4 * h + 2 * h * e + 1
-        checks["round_bound"] = metrics.completion_round <= bound
-        spans = sorted(windows.values())
-        checks["phase_windows"] = all(
-            not rec.transmitters or any(lo <= rnd <= hi for lo, hi in spans)
-            for rnd, rec in enumerate(transcript.records, start=1)
-        )
-    if proto == "line":
-        checks["mod3"] = not check_mod3(transcript, line_labels)
+    checks, windows = PROTOCOLS[proto].checks(transcript, context)
     report = RunReport(
         name=name,
         family=family,
@@ -259,9 +317,8 @@ def run_tree(
         outputs=outputs,
         structured=structured,
         programs=programs,
-        labeled=labeled,
+        labeled=context,
         windows=windows,
-        line_labels=line_labels,
     )
 
 

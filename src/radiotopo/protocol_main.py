@@ -195,6 +195,23 @@ def place_self(tree: Tree, chain_forms: list[str]) -> int:
     return cur
 
 
+def phase_windows(m: int, h: int, e: int) -> dict[str, tuple[int, int]]:
+    """Inclusive round window of each phase, for core size m, height h and
+    half-epoch length E; the last round of "assemble" is the round bound."""
+    m2 = m * m
+    t0 = m2 + 3 * h
+    t1 = t0 + 2 * m2
+    tr_end = t1 + 2 * h * e
+    return {
+        "core_gossip": (1, m2),
+        "parameter": (m2 + 1, t0),
+        "slot_gossip": (t0 + 1, t0 + m2),
+        "shape_gossip": (t0 + m2 + 1, t1),
+        "collect": (t1 + 1, tr_end),
+        "assemble": (tr_end + 1, tr_end + h + 1),
+    }
+
+
 class MainProgram(NodeProgram):
     """State machine run by every node of a labeled tree."""
 
@@ -248,16 +265,18 @@ class MainProgram(NodeProgram):
         if self.height is None:
             self.height = height
             self.round_height = round_no
-        self.t0 = self.m2 + 3 * self.height
-        self.t1 = self.t0 + 2 * self.m2
         e = self.params.block_len
-        self.tr_end = self.t1 + 2 * self.height * e
+        windows = phase_windows(self.m, self.height, e)
+        self.t0 = windows["parameter"][1]
+        self.t1 = windows["shape_gossip"][1]
+        self.tr_end = windows["collect"][1]
+        # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in epoch h-l+1.
+        lo = windows["collect"][0]
         if self.level is not None and self.level >= 1 and self.tr_transmits:
-            epoch = self.height - self.level + 1
-            self.my_epoch_start = self.t1 + (epoch - 1) * 2 * e + 1
+            self.my_epoch_start = lo + (self.height - self.level) * 2 * e
         if self.level is not None and self.level < self.height:
-            lo = self.t1 + (self.height - self.level - 1) * 2 * e + 1
-            self.child_epoch = (lo, lo + 2 * e - 1)
+            start = lo + (self.height - self.level - 1) * 2 * e
+            self.child_epoch = (start, start + 2 * e - 1)
 
     def _relays_level_wave(self) -> bool:
         """Whether this node forwards the level wave one step down.

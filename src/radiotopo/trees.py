@@ -225,11 +225,6 @@ def root_at(tree: Tree, root: int) -> RootedTree:
     )
 
 
-def ahu(rt: RootedTree, v: int) -> str:
-    """Canonical form of the subtree of rt hanging at v."""
-    return rt.form(v)
-
-
 def placement_valid(tree: Tree, v: int, out_tree: Tree, out_v: int) -> bool:
     """True when some isomorphism of the two trees maps v to out_v."""
     if tree.n != out_tree.n:

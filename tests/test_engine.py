@@ -107,6 +107,13 @@ class TestSimulateContract:
         assert [r.deliveries for r in again.records] == [r.deliveries for r in t1.records]
         assert again.output_round == t1.output_round
 
+    @pytest.mark.parametrize(
+        "text", ["X1 T: D:\n", "R2 T: D:\n", "R1 T: D:\nR1 T: D:\n", "R1 T:\n", "R1 D: T:\n"]
+    )
+    def test_transcript_bad_round_line_rejected(self, text):
+        with pytest.raises(ValueError, match="transcript line"):
+            Transcript.from_text(text)
+
     def test_delivered_senders_are_transmitters_and_adjacent(self):
         tree = Tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
         plans = {0: {1: "a", 2: "b"}, 2: {2: "c"}, 4: {1: "d", 3: "e"}}

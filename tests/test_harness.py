@@ -7,6 +7,7 @@ from radiotopo.engine import RoundRecord
 from radiotopo.generators import family_feasibility, random_tree
 from radiotopo.harness import (
     CSV_HEADER,
+    PROTOCOLS,
     check_run,
     check_tr_delivery,
     dispatch_protocol,
@@ -19,7 +20,7 @@ from radiotopo.harness import (
     view_collision_search,
     view_of_root,
 )
-from radiotopo.labels import encode
+from radiotopo.labels import LabelKind, encode
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.trees import Tree, tree_to_text
@@ -50,6 +51,35 @@ class TestDispatch:
                     continue
                 seen.add(dispatch_protocol(t))
         assert seen == {"line", "star", "d3", "main"}
+
+
+class TestProtocolTable:
+    TREES = {
+        "line": path_tree(9),
+        "star": star_tree(5),
+        "d3": Tree(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]),
+        "main": random_tree(4, 5, 2),
+    }
+
+    def test_every_kind_has_one_owner(self):
+        owners = {kind: [p.name for p in PROTOCOLS.values() if kind in p.kinds] for kind in LabelKind}
+        assert all(len(names) == 1 for names in owners.values()), owners
+
+    @pytest.mark.parametrize("proto", ["line", "star", "d3", "main"])
+    def test_preset_labels_give_the_same_run(self, proto):
+        tree = self.TREES[proto]
+        art = run_tree(tree)
+        again = run_tree(tree, preset_labels=art.structured)
+        assert art.report.protocol == again.report.protocol == proto
+        assert again.report.csv_row() == art.report.csv_row()
+        assert again.transcript.to_text() == art.transcript.to_text()
+        assert again.report.checks == art.report.checks
+        assert again.windows == art.windows
+
+    def test_preset_labels_for_another_protocol_rejected(self):
+        art = run_tree(self.TREES["star"])
+        with pytest.raises(ValueError):
+            run_tree(self.TREES["star"], protocol="line", preset_labels=art.structured)
 
 
 class TestCheckRun:
@@ -262,6 +292,46 @@ class TestCli:
         bad = tmp_path / "bad.tree"
         bad.write_text("tree 3\n0 1\n0 1\n")
         assert cli_main(["run", "--tree", str(bad)]) == 2
+
+    def record(self, tmp_path, tree, name="t"):
+        """Label and run a tree through the command line; the file paths."""
+        files = {k: str(tmp_path / f"{name}.{k}") for k in ("tree", "labels", "transcript", "outputs")}
+        (tmp_path / f"{name}.tree").write_text(tree_to_text(tree))
+        assert cli_main(["label", "--tree", files["tree"], "--out", files["labels"]]) == 0
+        recorded = ["--transcript", files["transcript"], "--outputs", files["outputs"]]
+        assert cli_main(["run", "--tree", files["tree"], "--labels", files["labels"], *recorded]) == 0
+        return files
+
+    def verify(self, files, **override):
+        f = {**files, **override}
+        argv = ["verify"] + [x for k in ("tree", "labels", "transcript", "outputs") for x in (f"--{k}", f[k])]
+        return cli_main(argv)
+
+    def test_single_node_round_trip(self, tmp_path):
+        files = self.record(tmp_path, Tree(1, []))
+        assert (tmp_path / "t.outputs").read_text() == "0 0 1 \n"
+        assert self.verify(files) == 0
+
+    def test_verify_reads_protocol_from_labels(self, tmp_path, capsys):
+        star = self.record(tmp_path, star_tree(6), "star")
+        line = self.record(tmp_path, path_tree(20), "line")
+        assert self.verify(star) == 0
+        assert self.verify(star, labels=line["labels"]) == 1
+        assert "labels are not for the nodes 0..6" in capsys.readouterr().out
+
+    def test_verify_rejects_labels_of_another_shape(self, tmp_path, capsys):
+        main_tree = random_tree(3, 4, 1)
+        k = main_tree.n - 3  # a two-hub tree on as many nodes
+        two_hub = Tree(main_tree.n, [(0, 1), (1, 2)] + [(0, 3 + i) for i in range(k)])
+        main = self.record(tmp_path, main_tree, "main")
+        d3 = self.record(tmp_path, two_hub, "d3")
+        assert self.verify(d3, labels=main["labels"]) == 1
+        assert "labels do not fit the tree" in capsys.readouterr().out
+
+    def test_verify_bad_transcript_exit_2(self, tmp_path):
+        files = self.record(tmp_path, path_tree(6))
+        (tmp_path / "t.transcript").write_text("X1 T: D:\n")
+        assert self.verify(files) == 2
 
     def test_verify_detects_tampered_outputs(self, tmp_path):
         tree_file = tmp_path / "t.tree"

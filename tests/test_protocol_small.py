@@ -5,8 +5,7 @@ from radiotopo.generators import SplitMix
 from radiotopo.harness import check_run
 from radiotopo.labels import LabelKind
 from radiotopo.protocol_small import (
-    D3Label,
-    StarLabel,
+    CarrierLabel,
     chunk_len,
     d3_programs,
     label_d3,
@@ -83,7 +82,7 @@ class TestD3Labels:
     def test_structured_round_trip(self):
         labels = label_d3(d3_tree(5, 7))
         for lab in labels.values():
-            assert D3Label.from_structured(lab.to_structured()) == lab
+            assert CarrierLabel.from_structured(lab.to_structured()) == lab
 
 
 class TestD3Protocol:
@@ -153,7 +152,7 @@ class TestStarLabels:
     def test_structured_round_trip(self):
         labels = label_star(star_tree(12), 64)
         for lab in labels.values():
-            assert StarLabel.from_structured(lab.to_structured()) == lab
+            assert CarrierLabel.from_structured(lab.to_structured()) == lab
 
 
 class TestStarProtocol:
