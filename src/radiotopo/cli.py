@@ -86,11 +86,12 @@ def _cmd_run(args) -> int:
     if args.transcript:
         Path(args.transcript).write_text(art.transcript.to_text())
     if args.outputs:
-        lines = []
-        for node in sorted(art.outputs):
-            out_tree, place = art.outputs[node]
-            edges = ",".join(f"{u}-{v}" for u, v in out_tree.edges)
-            lines.append(f"{node} {place} {out_tree.n} {edges}")
+        # Each distinct output tree object is formatted once.
+        distinct = {id(t): t for t, _ in art.outputs.values()}
+        texts = {k: f"{t.n} " + ",".join(f"{u}-{v}" for u, v in t.edges)
+                 for k, t in distinct.items()}
+        lines = [f"{node} {place} {texts[id(t)]}"
+                 for node, (t, place) in sorted(art.outputs.items())]
         Path(args.outputs).write_text("\n".join(lines) + "\n")
     rep = art.report
     print(CSV_HEADER)
@@ -106,7 +107,10 @@ def _cmd_batch(args) -> int:
 
 
 def _parse_outputs(text: str):
+    """Lines "<node> <place> <n> <u>-<v>,...".  Lines with the same
+    "<n> <edges>" text share one Tree, built and validated once."""
     outputs = {}
+    trees: dict[tuple[str, str], Tree] = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -115,12 +119,10 @@ def _parse_outputs(text: str):
         if len(fields) == 3:  # a one-node tree has no edges
             fields.append("")
         node_s, place_s, n_s, edge_s = fields
-        edges = []
-        for item in edge_s.split(","):
-            if item:
-                u, v = item.split("-")
-                edges.append((int(u), int(v)))
-        outputs[int(node_s)] = (Tree(int(n_s), edges), int(place_s))
+        if (n_s, edge_s) not in trees:
+            edges = [tuple(map(int, item.split("-"))) for item in edge_s.split(",") if item]
+            trees[n_s, edge_s] = Tree(int(n_s), edges)
+        outputs[int(node_s)] = (trees[n_s, edge_s], int(place_s))
     return outputs
 
 

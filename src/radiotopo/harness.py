@@ -12,13 +12,14 @@ general one) or by the kinds of a given label set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
 from .engine import Metrics, NodeProgram, Transcript, default_round_budget, simulate
 from .labels import LabelKind, StructuredLabel, encode, scheme_length
 from .scheme import LabeledTree, MainLabel, label_tree
-from .trees import FormInterner, Tree, all_root_form_ids
+from .trees import OrbitInterner, Tree
 from .generators import GenSpec, generate
 
 
@@ -65,10 +66,11 @@ class RunArtifacts:
 
 
 def check_run(tree: Tree, outputs: dict[int, tuple[Tree, int]]) -> dict[int, bool]:
-    """Per-node verdict: does some isomorphism carry the node to its claim?"""
-    interner = FormInterner()
-    own_ids = all_root_form_ids(tree, interner)
-    cache: dict[int, list[int]] = {}
+    """Per-node verdict: does some isomorphism carry the node to its claim?
+    Orbit ids are computed once per distinct output tree object."""
+    ids = OrbitInterner()
+    own_key, own_sig = ids.orbit_ids(tree)
+    cache: dict[int, tuple[tuple[int, ...], list[int]]] = {}
     verdicts = {}
     for v in range(tree.n):
         got = outputs.get(v)
@@ -79,12 +81,10 @@ def check_run(tree: Tree, outputs: dict[int, tuple[Tree, int]]) -> dict[int, boo
         if out_tree.n != tree.n or not (0 <= out_node < out_tree.n):
             verdicts[v] = False
             continue
-        key = id(out_tree)
-        ids = cache.get(key)
-        if ids is None:
-            ids = all_root_form_ids(out_tree, interner)
-            cache[key] = ids
-        verdicts[v] = ids[out_node] == own_ids[v]
+        if id(out_tree) not in cache:
+            cache[id(out_tree)] = ids.orbit_ids(out_tree)
+        out_key, out_sig = cache[id(out_tree)]
+        verdicts[v] = out_key == own_key and out_sig[out_node] == own_sig[v]
     return verdicts
 
 
@@ -258,6 +258,10 @@ def recording_faults(
     when it passes."""
     if labels.keys() != set(range(tree.n)):
         return [f"labels are not for the nodes 0..{tree.n - 1} of the tree"]
+    named = {v for rec in transcript.records for v in chain(rec.transmitters, *rec.deliveries)}
+    strangers = sorted(v for v in named | transcript.output_round.keys() if not 0 <= v < tree.n)
+    if strangers:
+        return [f"transcript names nodes outside 0..{tree.n - 1}: {strangers}"]
     try:
         proto, context = preset_context(tree, labels)
     except ValueError as exc:

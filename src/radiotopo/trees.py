@@ -225,56 +225,46 @@ def root_at(tree: Tree, root: int) -> RootedTree:
     )
 
 
-def placement_valid(tree: Tree, v: int, out_tree: Tree, out_v: int) -> bool:
-    """True when some isomorphism of the two trees maps v to out_v."""
-    if tree.n != out_tree.n:
-        return False
-    return root_at(tree, v).form(v) == root_at(out_tree, out_v).form(out_v)
+class OrbitInterner:
+    """Shared tables giving every node of a tree an automorphism-orbit id.
 
-
-class FormInterner:
-    """Shared table mapping canonical shapes to small integers.
-
-    Interning is exact (dict equality, no hashing shortcuts), so two ids are
-    equal iff the rooted trees are isomorphic.
+    A tree is rooted at its center; a central edge roots its two halves at
+    its two ends.  Down-ids are AHU ids, one per sorted tuple of child
+    down-ids; a node's sig is interned from its parent's sig and its own
+    down-id, so it names the shapes on the path from the center.
+    Isomorphisms map center to center, so with ids from one interner some
+    isomorphism of tree A onto tree B maps v to w exactly when the center
+    keys are equal and sig(v) == sig(w).  Interning is exact (dict equality).
     """
 
     def __init__(self) -> None:
-        self._table: dict[tuple[int, ...], int] = {}
+        self._down: dict[tuple[int, ...], int] = {}
+        self._sig: dict[tuple[int, int], int] = {}
 
-    def intern(self, child_ids: list[int]) -> int:
-        key = tuple(sorted(child_ids))
-        got = self._table.get(key)
-        if got is None:
-            got = len(self._table)
-            self._table[key] = got
-        return got
+    def orbit_ids(self, tree: Tree) -> tuple[tuple[int, ...], list[int]]:
+        """The tree's center key and the sig of every node, in O(n log degree)."""
+        c = center(tree)
+        roots = (c.node,) if c.kind == "node" else c.edge
+        rt = root_at(tree, roots[0])  # a central edge's far end is cut off below it
+        down = [0] * tree.n
+        for v in reversed(rt.bfs_order):
+            kids = tuple(sorted(down[k] for k in rt.children[v] if k not in roots))
+            down[v] = self._down.setdefault(kids, len(self._down))
+        sig = [0] * tree.n
+        for v in rt.bfs_order:
+            up = -1 if v in roots else sig[rt.parent[v]]
+            sig[v] = self._sig.setdefault((up, down[v]), len(self._sig))
+        return tuple(sorted(down[r] for r in roots)), sig
 
 
-def all_root_form_ids(tree: Tree, interner: FormInterner) -> list[int]:
-    """For every v, the interned canonical id of the tree rooted at v.
-
-    Rerooting trick: combine each node's downward forms with the form of the
-    rest of the tree seen through its parent.
-    """
-    rt = root_at(tree, 0)
-    down = [0] * tree.n
-    for v in reversed(rt.bfs_order):
-        down[v] = interner.intern([down[c] for c in rt.children[v]])
-    up: list[Optional[int]] = [None] * tree.n
-    for v in rt.bfs_order:
-        kids = rt.children[v]
-        kid_ids = [down[c] for c in kids]
-        extra = [] if up[v] is None else [up[v]]
-        for i, c in enumerate(kids):
-            up[c] = interner.intern(kid_ids[:i] + kid_ids[i + 1 :] + extra)
-    ids = [0] * tree.n
-    for v in range(tree.n):
-        parts = [down[c] for c in rt.children[v]]
-        if up[v] is not None:
-            parts.append(up[v])
-        ids[v] = interner.intern(parts)
-    return ids
+def placement_valid(tree: Tree, v: int, out_tree: Tree, out_v: int) -> bool:
+    """True when some isomorphism of the two trees maps v to out_v."""
+    if tree.n != out_tree.n or not (0 <= v < tree.n and 0 <= out_v < out_tree.n):
+        return False
+    ids = OrbitInterner()
+    key, sig = ids.orbit_ids(tree)
+    out_key, out_sig = ids.orbit_ids(out_tree)
+    return key == out_key and sig[v] == out_sig[out_v]
 
 
 def classify_heavy(rt: RootedTree, delta: int) -> frozenset[int]:

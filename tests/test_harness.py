@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from radiotopo.cli import _parse_outputs
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import RoundRecord
 from radiotopo.generators import family_feasibility, random_tree
@@ -103,6 +104,20 @@ class TestCheckRun:
         del outputs[1]
         verdicts = check_run(t, outputs)
         assert verdicts[1] is False
+
+    @pytest.mark.parametrize("tree", [path_tree(9), random_tree(4, 5, 2)])
+    def test_equal_separate_trees_same_verdicts(self, tree):
+        art = run_tree(tree)
+        shared = dict(art.outputs)
+        v = next(u for u in range(tree.n) if tree.degree(u) == 1)
+        out_tree, _ = shared[v]
+        # A leaf claims a node of a different degree.
+        shared[v] = (out_tree, next(u for u in range(tree.n) if out_tree.degree(u) > 1))
+        separate = {u: (Tree(t.n, t.edges), place) for u, (t, place) in shared.items()}
+        assert len({id(t) for t, _ in separate.values()}) == tree.n
+        verdicts = check_run(tree, shared)
+        assert check_run(tree, separate) == verdicts
+        assert [u for u, good in verdicts.items() if not good] == [v]
 
 
 class TestTrDelivery:
@@ -327,6 +342,36 @@ class TestCli:
         d3 = self.record(tmp_path, two_hub, "d3")
         assert self.verify(d3, labels=main["labels"]) == 1
         assert "labels do not fit the tree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["line", "main"])
+    @pytest.mark.parametrize("bad", ["R1 T:99 D:", "R1 T: D:1<-99", "OUT 99 1"])
+    def test_verify_rejects_unknown_transcript_nodes(self, tmp_path, capsys, kind, bad):
+        tree = path_tree(3) if kind == "line" else random_tree(3, 4, 1)
+        files = self.record(tmp_path, tree)
+        transcript = tmp_path / "t.transcript"
+        lines = transcript.read_text().splitlines()
+        if bad.startswith("OUT"):
+            lines.append(bad)
+        else:
+            lines[0] = bad
+        transcript.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert f"transcript names nodes outside 0..{tree.n - 1}: [99]" in capsys.readouterr().out
+
+    def test_parse_outputs_shares_identical_trees(self, tmp_path):
+        files = self.record(tmp_path, path_tree(6))
+        outputs = tmp_path / "t.outputs"
+        lines = outputs.read_text().splitlines()
+        parsed = _parse_outputs("\n".join(lines))
+        assert len({id(t) for t, _ in parsed.values()}) == 1
+        # Node 0 claims an end of a six-node star instead.
+        lines[0] = "0 1 6 0-1,0-2,0-3,0-4,0-5"
+        parsed = _parse_outputs("\n".join(lines))
+        assert parsed[0][0] is not parsed[1][0]
+        assert parsed[1][0] is parsed[5][0]
+        outputs.write_text("\n".join(lines) + "\n")
+        assert self.verify(files) == 1
 
     def test_verify_bad_transcript_exit_2(self, tmp_path):
         files = self.record(tmp_path, path_tree(6))

@@ -11,12 +11,12 @@ from oracles import (
     brute_placement_valid,
     brute_rooted_isomorphic,
 )
+from radiotopo.harness import check_run
 from radiotopo.trees import (
-    FormInterner,
     NotInCatalog,
+    OrbitInterner,
     Tree,
     TreeError,
-    all_root_form_ids,
     center,
     classify_heavy,
     core_subtree,
@@ -188,14 +188,116 @@ class TestPlacement:
         assert placement_valid(tree, v1, tree, v2) == brute_placement_valid(tree, v1, tree, v2)
 
     @settings(max_examples=30, deadline=None)
-    @given(random_trees(max_n=40))
-    def test_interned_rerooting_matches_pairwise_forms(self, tree):
-        ids = all_root_form_ids(tree, FormInterner())
+    @given(random_trees(max_n=40), st.randoms(use_true_random=False))
+    def test_orbit_ids_match_pairwise_forms(self, tree, rnd):
+        # A shuffled copy gets the same key, and node v of the tree the same
+        # sig as its image in the copy.
+        perm = list(range(tree.n))
+        rnd.shuffle(perm)
+        copy = Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
+        ids = OrbitInterner()
+        key, sig = ids.orbit_ids(tree)
+        copy_key, copy_sig = ids.orbit_ids(copy)
+        assert copy_key == key
+        assert all(copy_sig[perm[v]] == sig[v] for v in range(tree.n))
         for v in range(min(tree.n, 6)):
             for w in range(min(tree.n, 6)):
-                assert (ids[v] == ids[w]) == (
+                assert (sig[v] == sig[w]) == (
                     root_at(tree, v).form(v) == root_at(tree, w).form(w)
                 )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_labeled_pair_matches_bijection_oracle(self, n):
+        """Orbit ids, check_run and placement_valid against
+        brute_placement_valid for every pair of (labeled tree, node) on n
+        nodes.
+
+        The oracle's relation is an equivalence, so each (tree, node) is
+        tested against one member of each oracle class; the class is searched
+        only among members whose degree sequence, distances from the node and
+        neighbour degrees are equal, which every isomorphism keeps.  With the
+        classes known, a verdict on any pair is a verdict on two classes, so
+        claims are made against one member of every class, of every shape.
+        placement_valid is checked for n <= 5 only, to bound the run time.
+        """
+        trees = list(all_labeled_trees(n))
+        ids = OrbitInterner()
+        members: list[tuple[Tree, int]] = []  # one (tree, node) per oracle class
+        class_ids: list[tuple] = []
+        search: dict[tuple, list[int]] = {}
+        class_of: dict[tuple[int, int], int] = {}
+        for i, tree in enumerate(trees):
+            key, sig = ids.orbit_ids(tree)
+            degrees = tuple(sorted(tree.degree(u) for u in range(n)))
+            for v in range(n):
+                invariant = (
+                    degrees,
+                    tuple(sorted(tree.distances_from(v))),
+                    tuple(sorted(tree.degree(w) for w in tree.adjacency[v])),
+                )
+                candidates = search.setdefault(invariant, [])
+                found = next(
+                    (c for c in candidates if brute_placement_valid(tree, v, *members[c])), None
+                )
+                if found is None:
+                    found = len(members)
+                    candidates.append(found)
+                    members.append((tree, v))
+                    class_ids.append((key, sig[v]))
+                assert (key, sig[v]) == class_ids[found]
+                class_of[i, v] = found
+        # Distinct classes get distinct ids, and there is one class per rooted shape.
+        assert len(set(class_ids)) == len(members) == ROOTED_TREE_COUNTS[n]
+        for i, tree in enumerate(trees):
+            for c, (out_tree, out_v) in enumerate(members):
+                want = {v: class_of[i, v] == c for v in range(n)}
+                assert check_run(tree, {v: (out_tree, out_v) for v in range(n)}) == want
+                if n <= 5:
+                    assert {v: placement_valid(tree, v, out_tree, out_v) for v in range(n)} == want
+
+    @pytest.mark.parametrize(
+        "tree, orbits",
+        [
+            (path(4), [[0, 3], [1, 2]]),
+            # Balanced double star: the central edge's two halves are equal.
+            (
+                Tree(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]),
+                [[0, 1], [2, 3, 4, 5, 6, 7]],
+            ),
+            # Unbalanced double star: its hubs are not interchangeable.
+            (
+                Tree(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6)]),
+                [[0], [1], [2, 3, 4], [5, 6]],
+            ),
+        ],
+    )
+    def test_central_edge_orbits(self, tree, orbits):
+        key, sig = OrbitInterner().orbit_ids(tree)
+        assert len(key) == 2  # the center is an edge
+        orbit_of = {v: i for i, orbit in enumerate(orbits) for v in orbit}
+        # A relabeled copy: the claims cross the halves of the central edge.
+        copy = Tree(tree.n, [(tree.n - 1 - u, tree.n - 1 - v) for u, v in tree.edges])
+        for v in range(tree.n):
+            for w in range(tree.n):
+                same = orbit_of[v] == orbit_of[w]
+                assert (sig[v] == sig[w]) == same
+                assert placement_valid(tree, v, copy, tree.n - 1 - w) == same
+        for v in (0, tree.n - 1):  # one node of each half
+            for w in range(tree.n):
+                assert placement_valid(tree, v, copy, w) == brute_placement_valid(tree, v, copy, w)
+
+    def test_central_edge_needs_both_halves(self):
+        # Central edge (0, 4); the halves at 0 and 4 have four nodes and
+        # height 2 each.  Nodes 0..3 hang alike in both trees, only the
+        # half at 4 differs.
+        same = [(0, 4), (0, 1), (1, 2), (0, 3), (4, 5), (5, 6)]
+        t1 = Tree(8, same + [(4, 7)])
+        t2 = Tree(8, same + [(5, 7)])
+        for v in range(4):
+            assert not placement_valid(t1, v, t2, v)
+            assert not brute_placement_valid(t1, v, t2, v)
+        outputs = {v: (t2, v) for v in range(8)}
+        assert not any(check_run(t1, outputs).values())
 
 
 class TestHeavyClassification:
