@@ -3,7 +3,8 @@
 Rounds are numbered from 1.  Each round has two phases: every node first
 commits to transmit or listen (decide), then every listener hears the payload
 of its unique transmitting neighbor, or nothing if zero or several neighbors
-transmitted.  Reception lands in the same round as the transmission.
+transmitted.  Reception lands in the same round as the transmission, and a
+program is told only of a delivery: hearing nothing calls no method.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class NodeProgram:
     """Per-node state machine contract.
 
     decide(round) returns the message to broadcast, or None to listen.
-    receive(round, message) is called after all decisions; message is None
-    unless the node listened and exactly one neighbor transmitted.
+    receive(round, message) is called after all decisions, and only when the
+    node listened and exactly one neighbor transmitted; message is its payload.
     The output attribute, once set to a (tree, node) pair, must never change.
     """
 
@@ -125,19 +126,13 @@ def simulate(
         for w in payloads:
             for v in adjacency[w]:
                 sender_of[v] = None if v in sender_of else w
-        deliveries = []
-        for v in range(tree.n):
-            if v in payloads:
-                programs[v].receive(round_no, None)
-                continue
-            w = sender_of.get(v)
-            if w is None:
-                programs[v].receive(round_no, None)
-            else:
-                deliveries.append((v, w))
-                programs[v].receive(round_no, payloads[w])
+        deliveries = sorted(
+            (v, w) for v, w in sender_of.items() if w is not None and v not in payloads
+        )
+        for v, w in deliveries:
+            programs[v].receive(round_no, payloads[w])
         transcript.records.append(
-            RoundRecord(transmitters=tuple(sorted(payloads)), deliveries=tuple(sorted(deliveries)))
+            RoundRecord(transmitters=tuple(sorted(payloads)), deliveries=tuple(deliveries))
         )
         for v in list(pending):
             if programs[v].output is not None:

@@ -175,8 +175,6 @@ class LineProgram(NodeProgram):
         return self.outbox.pop(round_no, None)
 
     def receive(self, round_no: int, message) -> None:
-        if message is None:
-            return
         lab = self.label
         if lab.kind is LabelKind.LINE_TINY:
             return

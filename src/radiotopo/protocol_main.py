@@ -8,8 +8,9 @@ half-epoch length derived from the learned maximum degree:
   t0+1 .. t0+m^2             gossip inside slot-share core groups
   t0+m^2+1 .. t0+2m^2        gossip inside light subtrees
   t1+1 .. t1+2hE             bottom-up subtree collection in h epochs of 2E
-  t1+2hE+1 ..                the root floods the assembled tree; everybody
-                             appends its own subtree and places itself
+  t1+2hE+1 ..                the root floods the assembled tree; each node
+                             places itself at the child of its parent's place
+                             whose shape is its own subtree, and forwards
 
 with t0 = m^2+3h and t1 = t0+2m^2.  Every boundary is computable by every
 node from its own label plus values learned strictly earlier.
@@ -17,7 +18,6 @@ node from its own label plus values learned strictly earlier.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from .engine import NodeProgram
@@ -32,7 +32,7 @@ from .scheme import (
     derive_params,
     unchunk,
 )
-from .trees import RootedTree, Tree, root_at
+from .trees import RootedTree, Tree, TreeError, root_at
 
 
 class ProtocolViolation(RuntimeError):
@@ -43,14 +43,9 @@ class MissingChunk(ProtocolViolation):
     """A share carrier's message never arrived; indicates a collision bug."""
 
 
-@lru_cache(maxsize=4096)
-def _rooted_view(tree: Tree) -> RootedTree:
-    return root_at(tree, 0)
-
-
 def rooted_form(tree: Tree) -> str:
     """Canonical form of a tree under its id-0 root (message convention)."""
-    return _rooted_view(tree).form(0)
+    return root_at(tree, 0).form(0)
 
 
 class GossipState:
@@ -91,50 +86,19 @@ class GossipState:
         self.edges.add((min(self.my_id, sender), max(self.my_id, sender)))
 
 
-def group_tree_from_gossip(
-    labels: dict[int, MainLabel], edges: set[tuple[int, int]]
-) -> tuple[dict[int, Optional[int]], dict[int, tuple[int, ...]]]:
-    """Parent and children maps of the gossiped group, rooted at id 1."""
+def gossip_subtree(
+    labels: dict[int, MainLabel], edges: set[tuple[int, int]], my_gid: int
+) -> Tree:
+    """Subtree of the gossiped group hanging at member my_gid, with the group
+    rooted at id 1, relabeled in BFS order with root 0."""
     ids = sorted(labels)
     if ids != list(range(1, len(ids) + 1)):
         raise ProtocolViolation(f"gossip ids not contiguous: {ids}")
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for a, b in edges:
-        if a not in adj or b not in adj:
-            raise ProtocolViolation(f"gossip edge {a, b} outside the group")
-        adj[a].append(b)
-        adj[b].append(a)
-    parent: dict[int, Optional[int]] = {1: None}
-    children: dict[int, tuple[int, ...]] = {}
-    order = [1]
-    seen = {1}
-    idx = 0
-    while idx < len(order):
-        u = order[idx]
-        idx += 1
-        kids = []
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                kids.append(w)
-                order.append(w)
-        children[u] = tuple(kids)
-    if len(order) != len(ids):
-        raise ProtocolViolation("gossiped group is not connected")
-    return parent, children
-
-
-def subtree_below(children: dict[int, tuple[int, ...]], top: int) -> Tree:
-    """Tree hanging at a group member, relabeled in BFS order with root 0."""
-    nodes = [top]
-    idx = 0
-    while idx < len(nodes):
-        nodes.extend(children[nodes[idx]])
-        idx += 1
-    index = {u: i for i, u in enumerate(nodes)}
-    edges = [(index[u], index[c]) for u in nodes for c in children[u]]
-    return Tree(len(nodes), edges)
+    try:
+        group = Tree(len(ids), [(a - 1, b - 1) for a, b in edges])
+    except TreeError as exc:
+        raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from exc
+    return root_at(group, 0).extract_subtree(my_gid - 1)
 
 
 def attach_subtrees(parts: list[Tree]) -> Tree:
@@ -179,20 +143,12 @@ def aggregate_children(received: list[tuple[MainLabel, Tree, int]]) -> Tree:
     return attach_subtrees(parts)
 
 
-def place_self(tree: Tree, chain_forms: list[str]) -> int:
-    """Walk the assembled tree from its root along matching subtree shapes."""
-    rt = _rooted_view(tree)
-    if rt.form(0) != chain_forms[0]:
-        raise ProtocolViolation("assembled tree does not match the flooded root shape")
-    cur = 0
-    for want in chain_forms[1:]:
-        for c in rt.children[cur]:
-            if rt.form(c) == want:
-                cur = c
-                break
-        else:
-            raise ProtocolViolation("no child matches the next shape in the chain")
-    return cur
+def child_place(rt: RootedTree, parent_place: int, form: str) -> int:
+    """The first child of parent_place whose subtree has the given shape."""
+    for c in rt.children[parent_place]:
+        if rt.form(c) == form:
+            return c
+    raise ProtocolViolation("no child of the parent's place has this node's shape")
 
 
 def phase_windows(m: int, h: int, e: int) -> dict[str, tuple[int, int]]:
@@ -331,9 +287,8 @@ class MainProgram(NodeProgram):
 
     def _finalize_shape_gossip(self) -> None:
         self.rr_shape_done = True
-        parent, children = group_tree_from_gossip(self.rr_shape.labels, self.rr_shape.edges)
         my_gid = self.label.shape_share[0]
-        self.my_subtree = subtree_below(children, my_gid)
+        self.my_subtree = gossip_subtree(self.rr_shape.labels, self.rr_shape.edges, my_gid)
         if my_gid == 1:
             pieces = [lab.shape_share for lab in self.rr_shape.labels.values()]
             bits = unchunk(pieces)
@@ -409,13 +364,11 @@ class MainProgram(NodeProgram):
             self.my_subtree = aggregate_children(self.tr_received)
             self.subtree_round = self.tr_end
             self.output = (self.my_subtree, 0)
-            return ("assemble", (self.my_subtree,))
+            return ("assemble", root_at(self.my_subtree, 0), 0)
 
         return None
 
     def receive(self, round_no: int, message) -> None:
-        if message is None:
-            return
         tag = message[0]
         if tag == "gossip":
             which = message[1]
@@ -463,12 +416,11 @@ class MainProgram(NodeProgram):
                 return
             if self.my_subtree is None:
                 raise ProtocolViolation("assembly reached a node with no computed subtree")
-            chain = message[1] + (self.my_subtree,)
-            forms = [rooted_form(t) for t in chain]
-            placed = place_self(chain[0], forms)
-            self.output = (chain[0], placed)
+            _, rt, parent_place = message
+            place = child_place(rt, parent_place, rooted_form(self.my_subtree))
+            self.output = (rt.tree, place)
             if self.level < self.height:
-                self.outbox[round_no + 1] = ("assemble", chain)
+                self.outbox[round_no + 1] = ("assemble", rt, place)
             return
 
 

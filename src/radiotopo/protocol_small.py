@@ -150,7 +150,7 @@ class LeafProgram(NodeProgram):
         return None
 
     def receive(self, round_no: int, message) -> None:
-        if message is not None and message[0] == "tree" and self.output is None:
+        if message[0] == "tree" and self.output is None:
             self.output = message[1:]
 
 
@@ -175,7 +175,7 @@ class HubProgram(NodeProgram):
 
 class StarCenterProgram(HubProgram):
     def receive(self, round_no: int, message) -> None:
-        if message is None or self.output is not None or message[0] != "carrier":
+        if self.output is not None or message[0] != "carrier":
             return
         k = self.collect(message[1])
         if k is not None:
@@ -185,8 +185,6 @@ class StarCenterProgram(HubProgram):
 
 class D3HubProgram(HubProgram):
     def receive(self, round_no: int, message) -> None:
-        if message is None:
-            return
         if message[0] == "carrier":
             near = self.collect(message[1])
             if near is not None:
@@ -203,8 +201,6 @@ class D3RootProgram(HubProgram):
     near_total: Optional[int] = None
 
     def receive(self, round_no: int, message) -> None:
-        if message is None:
-            return
         if message[0] == "carrier":
             near = self.collect(message[1])
             if near is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .labels import LabelKind, StructuredLabel
+from .labels import LabelKind, MalformedLabel, StructuredLabel
 from .trees import (
     RootedTree,
     ShapeCatalog,
@@ -133,6 +133,8 @@ class MainLabel:
         if label.kind is not LabelKind.MAIN_SCHEME:
             raise ValueError(f"not a main-scheme label: {label.kind}")
         f = label.fields
+        if len(f[0]) != 7:
+            raise MalformedLabel(f"main-scheme markers field {f[0]!r} is not seven bits")
 
         def pair(id_bits: str, chunk_bits: str):
             return (int(id_bits, 2), chunk_bits) if id_bits else None

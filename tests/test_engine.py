@@ -114,6 +114,26 @@ class TestSimulateContract:
         with pytest.raises(ValueError, match="transcript line"):
             Transcript.from_text(text)
 
+    def test_receive_called_only_on_delivery(self):
+        class Logged(Script):
+            def receive(self, round_no, message):
+                calls.append((round_no, self.node, message))
+
+        calls = []
+        tree = Tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        plans = {0: {1: "a", 2: "b"}, 2: {2: "c"}, 4: {1: "d", 3: "e"}}
+        programs = {v: Logged(plans.get(v), out_round=6) for v in range(tree.n)}
+        for v, prog in programs.items():
+            prog.node = v
+        _, transcript, _ = simulate(tree, programs, 8)
+        delivered = [
+            (r, rx, plans[tx][r])
+            for r, rec in enumerate(transcript.records, start=1)
+            for rx, tx in rec.deliveries
+        ]
+        # Round 2 collides at node 1 and rounds 4..6 are silent: no calls.
+        assert calls == delivered == [(1, 1, "a"), (1, 3, "d"), (3, 3, "e")]
+
     def test_delivered_senders_are_transmitters_and_adjacent(self):
         tree = Tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
         plans = {0: {1: "a", 2: "b"}, 2: {2: "c"}, 4: {1: "d", 3: "e"}}

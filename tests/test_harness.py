@@ -21,7 +21,7 @@ from radiotopo.harness import (
     view_collision_search,
     view_of_root,
 )
-from radiotopo.labels import LabelKind, encode
+from radiotopo.labels import LabelKind, StructuredLabel, encode, labels_from_text, labels_to_text
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.trees import Tree, tree_to_text
@@ -285,6 +285,19 @@ class TestCli:
         labels = tmp_path / "t.labels"
         assert cli_main(["label", "--tree", str(tree_file), "--out", str(labels)]) == 0
         assert cli_main(["run", "--tree", str(tree_file), "--labels", str(labels)]) == 0
+
+    def test_run_rejects_short_markers_field(self, tmp_path, capsys):
+        tree_file = tmp_path / "t.tree"
+        tree_file.write_text(tree_to_text(random_tree(8, 6, 1)))
+        labels = tmp_path / "t.labels"
+        assert cli_main(["label", "--tree", str(tree_file), "--out", str(labels)]) == 0
+        structured = labels_from_text(labels.read_text())
+        fields = structured[0].fields
+        structured[0] = StructuredLabel(structured[0].kind, (fields[0][:3],) + fields[1:])
+        labels.write_text(labels_to_text(structured))
+        capsys.readouterr()
+        assert cli_main(["run", "--tree", str(tree_file), "--labels", str(labels)]) == 2
+        assert "markers field '" in capsys.readouterr().err
 
     def test_gen_and_batch(self, tmp_path):
         outdir = tmp_path / "trees"

@@ -5,14 +5,16 @@ from radiotopo.generators import SplitMix, random_tree
 from radiotopo.harness import check_run, check_tr_delivery, run_tree
 from radiotopo.protocol_main import (
     GossipState,
+    ProtocolViolation,
     aggregate_children,
     attach_subtrees,
+    child_place,
+    gossip_subtree,
     main_programs,
-    place_self,
     rooted_form,
 )
 from radiotopo.scheme import MainLabel, derive_params, label_tree
-from radiotopo.trees import Tree, root_at
+from radiotopo.trees import Tree, core_subtree, root_at
 
 
 def path(n):
@@ -40,6 +42,8 @@ class GossipOnly(NodeProgram):
 
     def decide(self, round_no):
         if self.state is None:
+            if self.output is None:
+                self.output = (Tree(1, []), 0)
             return None
         m2 = self.state.m * self.state.m
         if round_no > m2 and self.output is None:
@@ -49,8 +53,6 @@ class GossipOnly(NodeProgram):
     def receive(self, round_no, message):
         if self.state is not None and message is not None and message[0] == "gossip":
             self.state.absorb(message)
-        if self.state is None and self.output is None:
-            self.output = (Tree(1, []), 0)
 
 
 def dummy_label(i):
@@ -156,25 +158,66 @@ class TestAggregation:
         assert got.n == 4 and (0, 1) in got.edges and (0, 2) in got.edges
 
 
-class TestPlaceSelf:
-    def test_chain_of_length_one_is_root(self):
-        t = binary_tree_7()
-        assert place_self(root_at(t, 0).extract_subtree(0), [rooted_form(t)]) == 0
+class TestGossipSubtree:
+    def test_matches_extracted_subtree_on_random_cores(self):
+        # A light subtree gossips as one group: members numbered 1..k in BFS
+        # order, each must find exactly its own subtree of the input tree.
+        rng = SplitMix(11)
+        for _ in range(100):
+            delta = (3, 4, 6, 8, 16)[rng.randint(0, 4)]
+            tree = random_tree(delta, 4 + 2 * rng.randint(0, 3), rng.randint(1, 10**6))
+            rt = root_at(tree, rng.randint(0, tree.n - 1))
+            tops = [v for v in range(tree.n) if 2 <= rt.subtree_size[v] <= 12]
+            if not tops:
+                continue
+            top = tops[rng.randint(0, len(tops) - 1)]
+            members = core_subtree(rt, top, rt.subtree_size[top])
+            ids = {node: i for i, node in enumerate(members, start=1)}
+            labels = {i: dummy_label(i) for i in ids.values()}
+            edges = {
+                (min(ids[u], ids[w]), max(ids[u], ids[w]))
+                for u, w in tree.edges
+                if u in ids and w in ids
+            }
+            for member, gid in ids.items():
+                assert gossip_subtree(labels, edges, gid) == rt.extract_subtree(member)
+
+    @pytest.mark.parametrize(
+        "ids, edges",
+        [
+            ([1, 3], {(1, 3)}),  # ids not contiguous
+            ([1, 2], {(1, 3)}),  # an edge outside the group
+            ([1, 2, 3], {(1, 2)}),  # the group is not connected
+            ([1, 2, 3, 4], {(1, 2), (2, 3), (1, 3)}),  # a cycle and an isolated member
+        ],
+    )
+    def test_bad_gossip_raises_protocol_violation(self, ids, edges):
+        labels = {i: dummy_label(i) for i in ids}
+        with pytest.raises(ProtocolViolation):
+            gossip_subtree(labels, edges, 1)
+
+
+class TestChildPlace:
+    def test_first_matching_child_wins(self):
+        # Root 0 with children 1 and 2, both leaves, and child 3 with a leaf.
+        rt = root_at(Tree(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), 0)
+        assert child_place(rt, 0, "01") == 1
+        assert child_place(rt, 0, rt.form(3)) == 3
+        assert child_place(rt, 3, "01") == 4
 
     def test_symmetric_leaves_map_to_same_node(self):
-        t = binary_tree_7()
-        rt = root_at(t, 0)
-        chain = [rooted_form(t), rt.form(1), rt.form(3)]
-        # Both leaf chains under either middle node resolve identically.
-        spot = place_self(t, chain)
-        assert spot in (3, 4, 5, 6)
+        rt = root_at(binary_tree_7(), 0)
+        # Either middle node places a leaf at its own first child.
+        middle = child_place(rt, 0, rt.form(1))
+        assert middle == child_place(rt, 0, rt.form(2)) == 1
+        assert child_place(rt, middle, rt.form(3)) == child_place(rt, middle, rt.form(4)) == 3
 
     def test_no_match_raises(self):
-        from radiotopo.protocol_main import ProtocolViolation
-
-        t = binary_tree_7()
+        rt = root_at(binary_tree_7(), 0)
         with pytest.raises(ProtocolViolation):
-            place_self(t, [rooted_form(t), "0011"])
+            child_place(rt, 0, "0011")
+        with pytest.raises(ProtocolViolation):
+            child_place(rt, 3, "01")  # a leaf has no children
 
 
 class TestEndToEnd:
@@ -205,6 +248,12 @@ class TestEndToEnd:
             root_tree, root_place = outputs[lb.truth.root]
             assert rooted_form(root_tree) == rooted_form(lb.rooted.extract_subtree(lb.truth.root))
             assert root_place == 0
+
+    def test_outputs_share_one_tree_object(self):
+        for delta, diameter, seed in [(3, 4, 1), (16, 6, 2), (8, 6, 3)]:
+            tree = random_tree(delta, diameter, seed)
+            _, _, outputs, _, _ = run_main(tree)
+            assert len({id(t) for t, _ in outputs.values()}) == 1
 
     def test_learned_parameters_match_truth(self):
         tree = random_tree(16, 7, 5)
