@@ -20,7 +20,7 @@ from typing import Optional
 from .engine import NodeProgram
 from .labels import LabelKind, StructuredLabel
 from .scheme import bits_of
-from .trees import Tree
+from .trees import Tree, root_at
 
 
 @lru_cache(maxsize=1024)
@@ -36,15 +36,7 @@ def line_positions(tree: Tree) -> list[int]:
     if tree.max_degree > 2:
         raise ValueError("not a line")
     first = min(v for v in range(tree.n) if tree.degree(v) == 1)
-    order = [first]
-    prev = None
-    cur = first
-    while len(order) < tree.n:
-        nxt = [w for w in tree.adjacency[cur] if w != prev]
-        assert len(nxt) == 1
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
+    return list(root_at(tree, first).bfs_order)
 
 
 def stride_for(k: int) -> int:

@@ -1,19 +1,21 @@
 """Per-node programs for the general tree-recognition protocol.
 
-Schedule, with m the core-group size, h the learned tree height and E the
-half-epoch length derived from the learned maximum degree:
+The schedule is phase_windows(m, h, E), with m the core-group size, h the
+learned tree height and E the half-epoch length derived from the learned
+maximum degree; every round boundary a node uses is a lookup in it:
 
-  rounds 1..m^2              root-core gossip; the root decodes the max degree
-  m^2+1 .. m^2+3h            level wave down, height wave up, height flood down
-  t0+1 .. t0+m^2             gossip inside slot-share core groups
-  t0+m^2+1 .. t0+2m^2        gossip inside light subtrees
-  t1+1 .. t1+2hE             bottom-up subtree collection in h epochs of 2E
-  t1+2hE+1 ..                the root floods the assembled tree; each node
-                             places itself at the child of its parent's place
-                             whose shape is its own subtree, and forwards
+  core_gossip    root-core gossip; the root decodes the max degree
+  parameter      level wave down, height wave up, height flood down
+  slot_gossip    gossip inside slot-share core groups
+  shape_gossip   gossip inside light subtrees
+  collect        bottom-up subtree collection in h epochs of 2E
+  assemble       the root floods the assembled tree; each node places itself
+                 at the child of its parent's place whose shape is its own
+                 subtree, and forwards
 
-with t0 = m^2+3h and t1 = t0+2m^2.  Every boundary is computable by every
-node from its own label plus values learned strictly earlier.
+The core window and the start of "parameter" depend on m alone, which every
+label carries; a node knows the rest once it has learned h and E, strictly
+before it needs them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .scheme import (
     MARK_GOSSIP_CORE,
     MARK_HEAVY,
     MARK_ROOT,
-    MARK_ROOT_CORE,
     MainLabel,
     SchemeParams,
     derive_params,
@@ -86,6 +87,23 @@ class GossipState:
         self.edges.add((min(self.my_id, sender), max(self.my_id, sender)))
 
 
+def decode_shares(pieces: list, expected: Optional[int] = None) -> int:
+    """The integer a group's (index, chunk) shares spell in binary.
+
+    A missing share (None), a count other than the expected one, indices that
+    are not 1..k, or chunks that spell nothing raise MissingChunk.
+    """
+    if None in pieces or (expected is not None and len(pieces) != expected):
+        raise MissingChunk(f"group produced {len(pieces)} shares, expected {expected}")
+    try:
+        bits = unchunk(pieces)
+    except ValueError as exc:
+        raise MissingChunk(str(exc)) from exc
+    if not bits:
+        raise MissingChunk("the shares carry no bits")
+    return int(bits, 2)
+
+
 def gossip_subtree(
     labels: dict[int, MainLabel], edges: set[tuple[int, int]], my_gid: int
 ) -> Tree:
@@ -135,11 +153,7 @@ def aggregate_children(received: list[tuple[MainLabel, Tree, int]]) -> Tree:
     parts = list(heavy_parts)
     for form in sorted(light_groups):
         tree, chunks = light_groups[form]
-        try:
-            count = int(unchunk(sorted(chunks.items())), 2)
-        except ValueError as exc:
-            raise MissingChunk(str(exc)) from exc
-        parts.extend([tree] * count)
+        parts.extend([tree] * decode_shares(list(chunks.items())))
     return attach_subtrees(parts)
 
 
@@ -174,9 +188,11 @@ class MainProgram(NodeProgram):
     def __init__(self, label: MainLabel):
         self.label = label
         self.m = label.core_size
-        self.m2 = self.m * self.m
         self.is_root = label.marker(MARK_ROOT)
         self.output = None
+        # The core window and the start of "parameter" do not depend on h or
+        # E; the full schedule replaces this once the height is known.
+        self.windows = phase_windows(self.m, 0, 0)
 
         self.delta: Optional[int] = None
         self.params: Optional[SchemeParams] = None
@@ -190,48 +206,42 @@ class MainProgram(NodeProgram):
         self.round_delta: Optional[int] = None
         self.round_level: Optional[int] = 0 if self.is_root else None
         self.round_height: Optional[int] = None
-        self.subtree_round: Optional[int] = None
 
         self.outbox: dict[int, tuple] = {}
-        self.rr_core = (
-            GossipState("core", label.degree_share[0], label, self.m, 0)
-            if label.marker(MARK_ROOT_CORE)
-            else None
-        )
-        self.rr_slot: Optional[GossipState] = None
-        self.rr_shape: Optional[GossipState] = None
-        self.rr_core_done = False
-        self.rr_slot_done = False
-        self.rr_shape_done = False
+        # The gossip groups this node is in, by phase, until each is decoded.
+        self.gossip: dict[str, GossipState] = {}
+        self._join("core", label.degree_share)
         self.tr_received: list[tuple[MainLabel, Tree, int]] = []
-        self.tr_prepared = False
         self.tr_tx_round: Optional[int] = None
         self.tr_message: Optional[tuple] = None
         self.flood_seen = False
-        self.is_heavy = label.marker(MARK_HEAVY)
-        self.tr_transmits = self.is_heavy or label.count_share is not None
-        # Round boundaries, filled in once both height and degree are known.
-        self.t0 = 0
-        self.t1 = 0
-        self.tr_end = 0
+        self.tr_transmits = label.marker(MARK_HEAVY) or label.count_share is not None
         self.my_epoch_start = 0
         self.child_epoch = (0, -1)  # inclusive round window of children's epoch
 
+    def _join(self, tag: str, share: Optional[tuple[int, str]]) -> None:
+        """Enter the gossip group of a phase when the label holds its share."""
+        if share is not None:
+            phase = tag + "_gossip"
+            self.gossip[phase] = GossipState(
+                tag, share[0], self.label, self.m, self.windows[phase][0] - 1
+            )
+
     def _learn_height(self, height: int, round_no: int) -> None:
-        if self.height is None:
-            self.height = height
-            self.round_height = round_no
+        if self.height is not None:
+            return
+        self.height = height
+        self.round_height = round_no
         e = self.params.block_len
-        windows = phase_windows(self.m, self.height, e)
-        self.t0 = windows["parameter"][1]
-        self.t1 = windows["shape_gossip"][1]
-        self.tr_end = windows["collect"][1]
+        self.windows = phase_windows(self.m, height, e)
+        self._join("slot", self.label.slot_share)
+        self._join("shape", self.label.shape_share)
         # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in epoch h-l+1.
-        lo = windows["collect"][0]
+        lo = self.windows["collect"][0]
         if self.level is not None and self.level >= 1 and self.tr_transmits:
-            self.my_epoch_start = lo + (self.height - self.level) * 2 * e
-        if self.level is not None and self.level < self.height:
-            start = lo + (self.height - self.level - 1) * 2 * e
+            self.my_epoch_start = lo + (height - self.level) * 2 * e
+        if self.level is not None and self.level < height:
+            start = lo + (height - self.level - 1) * 2 * e
             self.child_epoch = (start, start + 2 * e - 1)
 
     def _relays_level_wave(self) -> bool:
@@ -256,51 +266,31 @@ class MainProgram(NodeProgram):
             return False
         return True
 
-    def _finalize_core(self) -> None:
-        self.rr_core_done = True
-        if not self.is_root:
-            return
-        pieces = []
-        for member_label in self.rr_core.labels.values():
-            if member_label.degree_share is None:
-                raise ProtocolViolation("core member without a degree share")
-            pieces.append(member_label.degree_share)
-        if len(pieces) != self.m:
-            raise MissingChunk(f"root heard {len(pieces)} of {self.m} degree shares")
-        self._learn_delta(int(unchunk(pieces), 2), self.m2)
-
     def _learn_delta(self, delta: int, round_no: int) -> None:
         self.delta = delta
         self.params = derive_params(delta)
         self.round_delta = round_no
 
-    def _finalize_slot_gossip(self) -> None:
-        self.rr_slot_done = True
-        if self.label.slot_share[0] != 1:
-            return
-        pieces = []
-        for member_label in self.rr_slot.labels.values():
-            pieces.append(member_label.slot_share)
-        if len(pieces) != self.m:
-            raise MissingChunk(f"slot group produced {len(pieces)} of {self.m} shares")
-        self.slot = int(unchunk(pieces), 2)
-
-    def _finalize_shape_gossip(self) -> None:
-        self.rr_shape_done = True
-        my_gid = self.label.shape_share[0]
-        self.my_subtree = gossip_subtree(self.rr_shape.labels, self.rr_shape.edges, my_gid)
-        if my_gid == 1:
-            pieces = [lab.shape_share for lab in self.rr_shape.labels.values()]
-            bits = unchunk(pieces)
-            self.shape_index = int(bits, 2)
+    def _finish_gossip(self, phase: str, group: GossipState) -> None:
+        """Decode what a group spread, once its window has passed."""
+        labels = group.labels.values()
+        if phase == "core_gossip":
+            if self.is_root:
+                delta = decode_shares([lab.degree_share for lab in labels], self.m)
+                self._learn_delta(delta, self.windows[phase][1])
+        elif phase == "slot_gossip":
+            if group.my_id == 1:
+                self.slot = decode_shares([lab.slot_share for lab in labels], self.m)
+        else:
+            self.my_subtree = gossip_subtree(group.labels, group.edges, group.my_id)
+            if group.my_id == 1:
+                self.shape_index = decode_shares([lab.shape_share for lab in labels])
 
     def _prepare_transmission(self, epoch_start: int) -> None:
-        self.tr_prepared = True
         e = self.params.block_len
         lab = self.label
         if lab.marker(MARK_HEAVY):
             self.my_subtree = aggregate_children(self.tr_received)
-            self.subtree_round = epoch_start - 1
             if self.slot is None:
                 echoes = [c for l, t, c in self.tr_received if l.marker(MARK_HEAVY) and l.slot_echo]
                 if len(echoes) != 1:
@@ -318,13 +308,18 @@ class MainProgram(NodeProgram):
         if self.output is not None and not self.outbox:
             return None
 
-        if self.rr_core is not None:
-            if round_no <= self.m2:
-                return self.rr_core.decide(round_no)
-            if not self.rr_core_done:
-                self._finalize_core()
+        if self.gossip:  # windows are disjoint and the groups are in phase order
+            for phase, group in list(self.gossip.items()):
+                lo, hi = self.windows[phase]
+                if round_no > hi:
+                    del self.gossip[phase]
+                    self._finish_gossip(phase, group)
+                elif round_no >= lo:
+                    return group.decide(round_no)
 
-        if self.is_root and round_no == self.m2 + 1:
+        if self.is_root and round_no == self.windows["parameter"][0]:
+            if self.delta is None:
+                raise MissingChunk("the root reached the level wave without a decoded degree")
             return ("level_wave", self.delta)
 
         if self.outbox:
@@ -335,34 +330,13 @@ class MainProgram(NodeProgram):
         if self.height is None:
             return None
 
-        if self.label.slot_share is not None and not self.is_root:
-            if self.t0 < round_no <= self.t0 + self.m2:
-                if self.rr_slot is None:
-                    self.rr_slot = GossipState(
-                        "slot", self.label.slot_share[0], self.label, self.m, self.t0
-                    )
-                return self.rr_slot.decide(round_no)
-            if round_no > self.t0 + self.m2 and self.rr_slot is not None and not self.rr_slot_done:
-                self._finalize_slot_gossip()
-
-        if self.label.shape_share is not None:
-            if self.t0 + self.m2 < round_no <= self.t1:
-                if self.rr_shape is None:
-                    self.rr_shape = GossipState(
-                        "shape", self.label.shape_share[0], self.label, self.m, self.t0 + self.m2
-                    )
-                return self.rr_shape.decide(round_no)
-            if round_no > self.t1 and self.rr_shape is not None and not self.rr_shape_done:
-                self._finalize_shape_gossip()
-
-        if self.tr_transmits and not self.tr_prepared and round_no >= self.my_epoch_start > 0:
+        if self.tr_tx_round is None and round_no >= self.my_epoch_start > 0:
             self._prepare_transmission(self.my_epoch_start)
         if round_no == self.tr_tx_round:
             return self.tr_message
 
-        if self.is_root and round_no == self.tr_end + 1:
+        if self.is_root and round_no == self.windows["assemble"][0]:
             self.my_subtree = aggregate_children(self.tr_received)
-            self.subtree_round = self.tr_end
             self.output = (self.my_subtree, 0)
             return ("assemble", root_at(self.my_subtree, 0), 0)
 
@@ -371,18 +345,14 @@ class MainProgram(NodeProgram):
     def receive(self, round_no: int, message) -> None:
         tag = message[0]
         if tag == "gossip":
-            which = message[1]
-            if which == "core" and self.rr_core is not None and round_no <= self.m2:
-                self.rr_core.absorb(message)
-            elif which == "slot" and self.rr_slot is not None and not self.rr_slot_done:
-                self.rr_slot.absorb(message)
-            elif which == "shape" and self.rr_shape is not None and not self.rr_shape_done:
-                self.rr_shape.absorb(message)
+            group = self.gossip.get(message[1] + "_gossip")
+            if group is not None:
+                group.absorb(message)
             return
         if tag == "level_wave":
             if self.level is None:
                 self._learn_delta(message[1], round_no)
-                self.level = round_no - self.m2
+                self.level = round_no - self.windows["parameter"][0] + 1
                 self.round_level = round_no
                 if self.label.marker(MARK_DEEP_LEAF):
                     self._learn_height(self.level, round_no)

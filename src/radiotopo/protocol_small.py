@@ -15,7 +15,7 @@ from typing import Optional
 
 from .engine import NodeProgram
 from .labels import LabelKind, StructuredLabel
-from .scheme import bits_of, chunk, unchunk
+from .scheme import bits_of, choose_root, chunk, unchunk
 from .trees import Tree
 
 CARRIER_KINDS = frozenset({LabelKind.D3_LEAF, LabelKind.STAR_LEAF})
@@ -81,20 +81,12 @@ def label_d3(tree: Tree) -> dict[int, CarrierLabel]:
     delta = tree.max_degree
     if delta < 3:
         raise ValueError("need maximum degree >= 3")
-    hubs = [v for v in range(tree.n) if tree.degree(v) >= 2]
-    assert len(hubs) == 2
-    u, v = hubs
-    size_u = tree.degree(u)  # own leaves + the other hub
-    size_v = tree.degree(v)
-    if size_u != size_v:
-        root = u if size_u > size_v else v
-    else:
-        root = min(u, v)
-    hub = v if root == u else u
+    root = choose_root(tree)  # the hub with more leaves, ties to the smaller id
+    hub = next(w for w in tree.adjacency[root] if tree.degree(w) > 1)
 
     c = chunk_len(delta)
     root_leaves, hub_leaves = (
-        sorted(w for w in tree.adjacency[x] if w not in hubs) for x in (root, hub)
+        sorted(w for w in tree.adjacency[x] if tree.degree(w) == 1) for x in (root, hub)
     )
     labels = _carrier_labels(root_leaves, c, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL)
     labels.update(_carrier_labels(hub_leaves, c, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL))

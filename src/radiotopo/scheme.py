@@ -168,18 +168,9 @@ def choose_root(tree: Tree) -> int:
     if c.kind == "node":
         return c.node
     u, v = c.edge
-    # Side sizes after deleting the central edge, counted from u.
-    seen = {u, v}
-    stack = [u]
-    size_u = 1
-    while stack:
-        x = stack.pop()
-        for w in tree.adjacency[x]:
-            if w not in seen:
-                seen.add(w)
-                size_u += 1
-                stack.append(w)
-    size_v = tree.n - size_u
+    # Side sizes after deleting the central edge: v's side hangs below v.
+    size_v = root_at(tree, u).subtree_size[v]
+    size_u = tree.n - size_v
     if size_u != size_v:
         return u if size_u > size_v else v
     return min(u, v)

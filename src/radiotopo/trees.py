@@ -56,20 +56,8 @@ class Tree:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", norm)
         # n-1 edges and connectivity together rule out cycles.
-        if len(self._component(0)) != n:
+        if -1 in self.distances_from(0):
             raise TreeError("tree is not connected")
-
-    def _component(self, start: int) -> set[int]:
-        adj = self.adjacency
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -87,12 +75,13 @@ class Tree:
         return max(len(a) for a in self.adjacency)
 
     def distances_from(self, start: int) -> list[int]:
+        adj = self.adjacency
         dist = [-1] * self.n
         dist[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in self.adjacency[u]:
+            for w in adj[u]:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -282,14 +271,7 @@ def core_subtree(rt: RootedTree, v: int, m: int) -> list[int]:
     """First m nodes of the BFS order of the subtree at v; position is the 1-based id."""
     if rt.subtree_size[v] < m:
         raise TreeError(f"subtree at {v} has {rt.subtree_size[v]} nodes, need {m}")
-    out = []
-    queue = deque([v])
-    while queue and len(out) < m:
-        u = queue.popleft()
-        out.append(u)
-        for c in rt.children[u]:
-            queue.append(c)
-    return out
+    return rt.subtree_nodes(v)[:m]
 
 
 def parse_form(form: str) -> Tree:

@@ -299,6 +299,20 @@ class TestCli:
         assert cli_main(["run", "--tree", str(tree_file), "--labels", str(labels)]) == 2
         assert "markers field '" in capsys.readouterr().err
 
+    def test_run_root_without_degree_share_fails_cleanly(self, tmp_path, capsys):
+        # Node 3 is the root and the whole core group of random_tree(8, 6, 1).
+        tree_file = tmp_path / "t.tree"
+        tree_file.write_text(tree_to_text(random_tree(8, 6, 1)))
+        labels = tmp_path / "t.labels"
+        assert cli_main(["label", "--tree", str(tree_file), "--out", str(labels)]) == 0
+        structured = labels_from_text(labels.read_text())
+        fields = structured[3].fields
+        structured[3] = StructuredLabel(structured[3].kind, fields[:1] + ("",) + fields[2:])
+        labels.write_text(labels_to_text(structured))
+        capsys.readouterr()
+        assert cli_main(["run", "--tree", str(tree_file), "--labels", str(labels)]) == 1
+        assert capsys.readouterr().err.startswith("run failed:")
+
     def test_gen_and_batch(self, tmp_path):
         outdir = tmp_path / "trees"
         assert cli_main(

@@ -1,7 +1,7 @@
 import pytest
 
 from radiotopo.engine import NodeProgram, default_round_budget, simulate
-from radiotopo.generators import SplitMix, random_tree
+from radiotopo.generators import SplitMix, family_sticks, random_tree
 from radiotopo.harness import check_run, check_tr_delivery, run_tree
 from radiotopo.protocol_main import (
     GossipState,
@@ -9,10 +9,13 @@ from radiotopo.protocol_main import (
     aggregate_children,
     attach_subtrees,
     child_place,
+    decode_shares,
     gossip_subtree,
     main_programs,
+    phase_windows,
     rooted_form,
 )
+from radiotopo.labels import StructuredLabel
 from radiotopo.scheme import MainLabel, derive_params, label_tree
 from radiotopo.trees import Tree, core_subtree, root_at
 
@@ -197,6 +200,42 @@ class TestGossipSubtree:
             gossip_subtree(labels, edges, 1)
 
 
+class TestDecodeShares:
+    def test_decodes_in_index_order(self):
+        assert decode_shares([(2, "01"), (1, "1"), (3, "")]) == 0b101
+        assert decode_shares([(1, "1000")], expected=1) == 8
+
+    @pytest.mark.parametrize(
+        "pieces, expected",
+        [
+            ([(1, "10"), None], None),  # a member without a share
+            ([(1, "10")], 2),  # fewer shares than group members
+            ([(1, "10"), (3, "1")], None),  # indices not 1..k
+            ([(2, "10")], None),
+            ([(1, ""), (2, "")], None),  # the shares spell nothing
+        ],
+    )
+    def test_bad_shares_raise_protocol_violation(self, pieces, expected):
+        with pytest.raises(ProtocolViolation):
+            decode_shares(pieces, expected)
+
+    @pytest.mark.parametrize(
+        "node, field, value",
+        [
+            (0, 4, ""),  # the one slot chunk of a core-size-1 group is empty
+            (3, 1, "10"),  # the root's degree share has id 2 in a group of one
+        ],
+    )
+    def test_bad_share_labels_fail_the_run_cleanly(self, node, field, value):
+        tree = random_tree(8, 6, 1)
+        labels = dict(run_tree(tree).structured)
+        fields = list(labels[node].fields)
+        fields[field] = value
+        labels[node] = StructuredLabel(labels[node].kind, tuple(fields))
+        with pytest.raises(ProtocolViolation):
+            run_tree(tree, preset_labels=labels)
+
+
 class TestChildPlace:
     def test_first_matching_child_wins(self):
         # Root 0 with children 1 and 2, both leaves, and child 3 with a leaf.
@@ -329,3 +368,63 @@ class TestEndToEnd:
         for round_no, rec in enumerate(art.transcript.records, start=1):
             if rec.transmitters:
                 assert any(lo <= round_no <= hi for lo, hi in windows)
+
+
+class TagRecorder(NodeProgram):
+    """Passes a program through, recording (round, tag) for each message it
+    sends; a gossip message's tag names its group's phase."""
+
+    def __init__(self, program, sent):
+        self.program = program
+        self.sent = sent
+
+    @property
+    def output(self):
+        return self.program.output
+
+    def decide(self, round_no):
+        message = self.program.decide(round_no)
+        if message is not None:
+            tag = message[1] + "_gossip" if message[0] == "gossip" else message[0]
+            self.sent.append((round_no, tag))
+        return message
+
+    def receive(self, round_no, message):
+        self.program.receive(round_no, message)
+
+
+PHASE_OF_TAG = {
+    "level_wave": "parameter",
+    "height_wave": "parameter",
+    "height_flood": "parameter",
+    "subtree": "collect",
+    "assemble": "assemble",
+}
+
+
+@pytest.mark.parametrize(
+    "make_tree",
+    [
+        lambda: random_tree(16, 6, 4),
+        lambda: random_tree(256, 6, 1),  # core size 3
+        lambda: family_sticks(4, 8, 1, 1)[0],
+        lambda: random_tree(3, 11, 2),
+    ],
+    ids=["random-16-6-4", "random-256-6-1", "sticks-4-8-1", "random-3-11-2"],
+)
+def test_message_tags_inside_their_phase_windows(make_tree):
+    tree = make_tree()
+    lb = label_tree(tree)
+    sent = []
+    programs = {v: TagRecorder(p, sent) for v, p in main_programs(lb.labels).items()}
+    simulate(tree, programs, default_round_budget(tree.max_degree, tree.diameter))
+    windows = phase_windows(lb.params.core_size, lb.rooted.height, lb.params.block_len)
+    for round_no, tag in sent:
+        lo, hi = windows[PHASE_OF_TAG.get(tag, tag)]
+        assert lo <= round_no <= hi, (round_no, tag)
+    want = {"core_gossip", "parameter", "collect", "assemble"}
+    if any(lab.slot_share for lab in lb.labels.values()):
+        want.add("slot_gossip")
+    if any(lab.shape_share for lab in lb.labels.values()):
+        want.add("shape_gossip")
+    assert want <= {PHASE_OF_TAG.get(tag, tag) for _, tag in sent}
