@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Run every single-field mutation of the labels of a few trees and count
+how each run ends.
+
+Usage: python scripts/mutation_sweep.py
+
+Each tree is labeled by its own protocol; then, one at a time, one field of
+one node's label is replaced (emptied, a bit flipped at either end, its last
+bit dropped, a 0 or a 1 appended, every bit set) and the tree is run with
+those labels.  A run may end as a valid run, an invalid run (outputs that
+do not place the nodes), a failed run (RunFailed, exit 1 on the command
+line) or a malformed label (MalformedLabel, exit 2).  Any other exception
+is counted by type: a ValueError is a run-time fault the command line would
+report as bad usage (exit 2), anything else a traceback.  Exits nonzero if
+any run ends in one of those.
+"""
+
+import sys
+import time
+from collections import Counter
+
+from radiotopo import MalformedLabel, RunFailed
+from radiotopo.generators import random_tree
+from radiotopo.harness import run_tree
+from radiotopo.labels import StructuredLabel
+from radiotopo.protocol_line import path_tree
+from radiotopo.protocol_small import star_tree
+from radiotopo.trees import Tree
+
+TREES = {
+    "path_tree(3)": path_tree(3),
+    "path_tree(40)": path_tree(40),
+    "star_tree(9)": star_tree(9),
+    "two-hub(9)": Tree(9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (1, 7), (0, 8)]),
+    "random_tree(8, 6, 1)": random_tree(8, 6, 1),
+    "random_tree(16, 6, 2)": random_tree(16, 6, 2),
+    "random_tree(4, 8, 3)": random_tree(4, 8, 3),
+}
+
+
+def flip(bit: str) -> str:
+    return "1" if bit == "0" else "0"
+
+
+def mutations(bits: str) -> list[str]:
+    """Distinct replacements of one field, the field itself excluded."""
+    out = ["", bits + "0", bits + "1", "1" * max(1, len(bits))]
+    if bits:
+        out += [flip(bits[0]) + bits[1:], bits[:-1] + flip(bits[-1]), bits[:-1]]
+    return sorted(set(out) - {bits})
+
+
+def outcome(tree: Tree, labels: dict) -> str:
+    try:
+        art = run_tree(tree, preset_labels=labels)
+    except RunFailed:
+        return "run failed"
+    except MalformedLabel:
+        return "malformed label"
+    except ValueError as exc:
+        if "invalid literal for int() with base 2: ''" in str(exc):
+            return "bare decode ValueError"
+        return f"run-time fault, exit 2 ({type(exc).__name__})"
+    except Exception as exc:
+        return f"traceback ({type(exc).__name__})"
+    return "valid run" if art.report.ok else "invalid run"
+
+
+def main() -> int:
+    start = time.time()
+    total: Counter = Counter()
+    for name, tree in TREES.items():
+        labels = run_tree(tree).structured
+        counts: Counter = Counter()
+        for v, lab in sorted(labels.items()):
+            for i, bits in enumerate(lab.fields):
+                for new in mutations(bits):
+                    fields = lab.fields[:i] + (new,) + lab.fields[i + 1:]
+                    mutated = {**labels, v: StructuredLabel(lab.kind, fields)}
+                    counts[outcome(tree, mutated)] += 1
+        print(f"{name}: {sum(counts.values())} mutations, {dict(sorted(counts.items()))}")
+        total += counts
+    print(f"all: {sum(total.values())} mutations in {time.time() - start:.1f}s")
+    for kind, count in sorted(total.items()):
+        print(f"  {kind:40} {count}")
+    bad = sum(c for k, c in total.items() if k.startswith(("run-time", "traceback", "bare")))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,7 +5,7 @@ protocol programs for general trees / two-hub trees / stars / lines, seeded
 tree generators, and a verification harness.
 """
 
-from .engine import NodeProgram, RoundLimitExceeded, Transcript, history_of, simulate
+from .engine import NodeProgram, RoundLimitExceeded, RunFailed, Transcript, history_of, simulate
 from .labels import LabelKind, MalformedLabel, StructuredLabel, decode, encode, scheme_length
 from .trees import (
     CenterResult,
@@ -31,6 +31,7 @@ __all__ = [
     "NodeProgram",
     "RootedTree",
     "RoundLimitExceeded",
+    "RunFailed",
     "ShapeCatalog",
     "StructuredLabel",
     "Transcript",

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: gen, label, run, batch, verify, bounds.
-Exit codes: 0 success, 1 verification failure, 2 usage or format error.
+Exit codes: 0 success, 1 verification failure or failed run, 2 usage or
+format error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Transcript
+from .engine import RunFailed, Transcript
 from .generators import FAMILIES, GenSpec, InfeasibleFamily, generate
 # check_mod3 and check_run are not called here; they stay importable from
 # this module because perfbench/spans.py wraps them at cli.<name>.
@@ -65,24 +66,9 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .engine import RoundLimitExceeded
-    from .protocol_main import ProtocolViolation
-
     tree = _load_tree(args.tree)
-    preset = None
-    if args.labels:
-        preset = labels_from_text(Path(args.labels).read_text())
-    try:
-        art = run_tree(
-            tree,
-            name=args.tree,
-            protocol=args.protocol,
-            max_rounds=args.max_rounds,
-            preset_labels=preset,
-        )
-    except (RoundLimitExceeded, ProtocolViolation) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    preset = labels_from_text(Path(args.labels).read_text()) if args.labels else None
+    art = run_tree(tree, max_rounds=args.max_rounds, preset_labels=preset)
     if args.transcript:
         Path(args.transcript).write_text(art.transcript.to_text())
     if args.outputs:
@@ -168,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate one tree end to end")
     p.add_argument("--tree", required=True)
     p.add_argument("--labels")
-    p.add_argument("--protocol", default="auto", choices=["auto", "main", "d3", "star", "line"])
     p.add_argument("--transcript")
     p.add_argument("--outputs")
     p.add_argument("--max-rounds", type=int)
@@ -202,6 +187,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except RunFailed as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     except (TreeError, InfeasibleFamily, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,8 @@ commits to transmit or listen (decide), then every listener hears the payload
 of its unique transmitting neighbor, or nothing if zero or several neighbors
 transmitted.  Reception lands in the same round as the transmission, and a
 program is told only of a delivery: hearing nothing calls no method.
+A run that fails raises RunFailed; a program that raises anything else
+fails the run as a ProtocolViolation naming the node and the round.
 """
 
 from __future__ import annotations
@@ -15,7 +17,19 @@ from typing import Optional
 from .trees import Tree
 
 
-class RoundLimitExceeded(RuntimeError):
+class RunFailed(RuntimeError):
+    """The run ended without a correct output at every node."""
+
+
+class ProtocolViolation(RunFailed):
+    """A node's state or a message contradicts the protocol."""
+
+
+class MissingChunk(ProtocolViolation):
+    """A group's shares do not spell the integer they carry."""
+
+
+class RoundLimitExceeded(RunFailed):
     """The round budget ran out before every node produced an output."""
 
     def __init__(self, missing: list[int], transcript: "Transcript"):
@@ -48,6 +62,19 @@ class RoundRecord:
     deliveries: tuple[tuple[int, int], ...]  # (receiver, sender)
 
 
+SILENT = RoundRecord(transmitters=(), deliveries=())  # shared by every silent round
+
+
+def deliveries_of(adjacency: tuple[tuple[int, ...], ...], transmitting) -> list[tuple[int, int]]:
+    """Sorted (receiver, sender) for every listener with exactly one neighbor
+    in transmitting, a set or dict of the round's transmitters."""
+    sender_of: dict[int, Optional[int]] = {}
+    for w in transmitting:
+        for v in adjacency[w]:
+            sender_of[v] = None if v in sender_of else w
+    return sorted((v, w) for v, w in sender_of.items() if w is not None and v not in transmitting)
+
+
 @dataclass
 class Transcript:
     records: list[RoundRecord] = field(default_factory=list)
@@ -78,8 +105,11 @@ class Transcript:
                 _, node, rnd = ln.split()
                 output_round[int(node)] = int(rnd)
                 continue
-            parts = ln.split(" ")
             head = f"R{len(records) + 1}"
+            if ln == head + " T: D:":
+                records.append(SILENT)
+                continue
+            parts = ln.split(" ")
             if len(parts) != 3 or parts[0] != head or parts[1][:2] != "T:" or parts[2][:2] != "D:":
                 raise ValueError(f"transcript line {ln!r} is not '{head} T:... D:...'")
             _, tpart, dpart = parts
@@ -116,24 +146,24 @@ def simulate(
     pending = set(range(tree.n))
     for round_no in range(1, max_rounds + 1):
         payloads: dict[int, object] = {}
-        for v in range(tree.n):
-            msg = programs[v].decide(round_no)
-            if msg is not None:
-                payloads[v] = msg
+        record = SILENT
+        # One handler for every program call of the round; v is the caller.
+        try:
+            for v in range(tree.n):
+                msg = programs[v].decide(round_no)
+                if msg is not None:
+                    payloads[v] = msg
+            if payloads:
+                deliveries = deliveries_of(adjacency, payloads)
+                for v, w in deliveries:
+                    programs[v].receive(round_no, payloads[w])
+                record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
+        except Exception as exc:
+            if isinstance(exc, RunFailed):
+                raise
+            raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
         total_tx += len(payloads)
-        # Unique transmitting neighbor per listener, accumulated sender-side.
-        sender_of: dict[int, Optional[int]] = {}
-        for w in payloads:
-            for v in adjacency[w]:
-                sender_of[v] = None if v in sender_of else w
-        deliveries = sorted(
-            (v, w) for v, w in sender_of.items() if w is not None and v not in payloads
-        )
-        for v, w in deliveries:
-            programs[v].receive(round_no, payloads[w])
-        transcript.records.append(
-            RoundRecord(transmitters=tuple(sorted(payloads)), deliveries=tuple(deliveries))
-        )
+        transcript.records.append(record)
         for v in list(pending):
             if programs[v].output is not None:
                 transcript.output_round[v] = round_no

@@ -16,16 +16,16 @@ from itertools import chain
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
-from .engine import Metrics, NodeProgram, Transcript, default_round_budget, simulate
-from .labels import LabelKind, StructuredLabel, encode, scheme_length
+from .engine import (Metrics, NodeProgram, RunFailed, Transcript, default_round_budget,
+                     deliveries_of, simulate)
+from .labels import LabelKind, MalformedLabel, StructuredLabel, encode, scheme_length
 from .scheme import LabeledTree, MainLabel, label_tree
 from .trees import OrbitInterner, Tree
-from .generators import GenSpec, generate
+from .generators import GenSpec, InfeasibleFamily, generate
 
 
 @dataclass
 class RunReport:
-    name: str
     family: str
     delta: int
     diameter: int
@@ -147,7 +147,13 @@ def _structured(labels: dict) -> dict[int, StructuredLabel]:
 
 
 def _decoded(label_cls, structured: dict[int, StructuredLabel]) -> dict:
-    return {v: label_cls.from_structured(s) for v, s in structured.items()}
+    decoded = {}
+    for v, s in structured.items():
+        try:
+            decoded[v] = label_cls.from_structured(s)
+        except MalformedLabel as exc:
+            raise MalformedLabel(f"node {v}: {exc}") from exc
+    return decoded
 
 
 def _label_main(tree: Tree, star_delta: Optional[int]):
@@ -248,6 +254,29 @@ def preset_context(tree: Tree, labels: dict[int, StructuredLabel]) -> tuple[str,
     return owners[0], PROTOCOLS[owners[0]].context(tree, labels)
 
 
+def transcript_faults(tree: Tree, transcript: Transcript) -> list[str]:
+    """Where a transcript breaks the radio model on the tree: a node id
+    outside the tree, a round whose deliveries are not the ones its
+    transmitters make, or an output round outside 1..rounds."""
+    named = {v for rec in transcript.records for v in chain(rec.transmitters, *rec.deliveries)}
+    strangers = sorted(v for v in named | transcript.output_round.keys() if not 0 <= v < tree.n)
+    if strangers:
+        return [f"transcript names nodes outside 0..{tree.n - 1}: {strangers}"]
+    adjacency = tree.adjacency
+    broken = []
+    for rnd, rec in enumerate(transcript.records, start=1):
+        # As in the engine, a silent round skips the rule: it delivers nothing.
+        expected = deliveries_of(adjacency, set(rec.transmitters)) if rec.transmitters else ()
+        if rec.deliveries != tuple(expected):
+            broken.append(rnd)
+    faults = [f"deliveries break the radio model in rounds {broken}"] if broken else []
+    rounds = transcript.rounds()
+    off = sorted(v for v, r in transcript.output_round.items() if not 1 <= r <= rounds)
+    if off:
+        faults.append(f"output rounds outside 1..{rounds} for nodes {off}")
+    return faults
+
+
 def recording_faults(
     tree: Tree,
     labels: dict[int, StructuredLabel],
@@ -255,13 +284,12 @@ def recording_faults(
     outputs: dict[int, tuple[Tree, int]],
 ) -> list[str]:
     """Why a recorded run of the protocol its labels belong to fails; empty
-    when it passes."""
+    when it passes.  A transcript that breaks the radio model stops there."""
     if labels.keys() != set(range(tree.n)):
         return [f"labels are not for the nodes 0..{tree.n - 1} of the tree"]
-    named = {v for rec in transcript.records for v in chain(rec.transmitters, *rec.deliveries)}
-    strangers = sorted(v for v in named | transcript.output_round.keys() if not 0 <= v < tree.n)
-    if strangers:
-        return [f"transcript names nodes outside 0..{tree.n - 1}: {strangers}"]
+    faults = transcript_faults(tree, transcript)
+    if faults:
+        return faults
     try:
         proto, context = preset_context(tree, labels)
     except ValueError as exc:
@@ -280,21 +308,18 @@ def recording_faults(
 
 def run_tree(
     tree: Tree,
-    name: str = "tree",
     family: str = "adhoc",
     seed: int = 0,
-    protocol: str = "auto",
     star_delta: Optional[int] = None,
     max_rounds: Optional[int] = None,
     preset_labels: Optional[dict[int, StructuredLabel]] = None,
 ) -> RunArtifacts:
+    """Label (or take preset labels), run and check one tree; a failed run raises RunFailed."""
     if preset_labels is not None:
         proto, context = preset_context(tree, preset_labels)
-        if protocol not in ("auto", proto):
-            raise ValueError(f"labels are for {proto}, not {protocol}")
         structured = preset_labels
     else:
-        proto = dispatch_protocol(tree) if protocol == "auto" else protocol
+        proto = dispatch_protocol(tree)
         structured, context = structured_labels_for(tree, proto, star_delta)
     programs = programs_from_structured(structured, proto)
     budget = max_rounds or default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
@@ -302,7 +327,6 @@ def run_tree(
     node_valid = check_run(tree, outputs)
     checks, windows = PROTOCOLS[proto].checks(transcript, context)
     report = RunReport(
-        name=name,
         family=family,
         delta=tree.max_degree,
         diameter=tree.diameter,
@@ -470,8 +494,6 @@ def config_runs(config: dict):
     Parameter combinations a family cannot realize are skipped, so one
     delta/diameter grid can drive several families at once.
     """
-    from .generators import InfeasibleFamily
-
     for family in config["family"]:
         if family in ("random", "sticks", "diamLB", "degLB"):
             for delta in config["delta"]:
@@ -502,12 +524,9 @@ def config_runs(config: dict):
 def run_experiment(config_text: str) -> tuple[str, bool]:
     """Run every configured case; CSV rows sorted by key, plus pass flag.
 
-    A run that stalls or violates the protocol becomes a failing row (valid
-    0, rounds 0) rather than aborting the sweep.
+    A run that fails becomes a failing row (valid 0, rounds 0) rather than
+    aborting the sweep.
     """
-    from .engine import RoundLimitExceeded
-    from .protocol_main import ProtocolViolation
-
     config = parse_config(config_text)
     rows = []
     all_ok = True
@@ -516,7 +535,7 @@ def run_experiment(config_text: str) -> tuple[str, bool]:
             art = run_tree(tree, family=family, seed=seed, star_delta=star_delta)
             rows.append(art.report.csv_row())
             all_ok = all_ok and art.report.ok
-        except (RoundLimitExceeded, ProtocolViolation):
+        except RunFailed:
             proto = dispatch_protocol(tree)
             rows.append(
                 f"{family},{tree.max_degree},{tree.diameter},{tree.n},{seed},{proto},0,0,0"

@@ -47,6 +47,13 @@ FIELD_COUNTS = {
 }
 
 
+def field_value(bits: str, name: str) -> int:
+    """The integer a label field spells in binary; an empty field is malformed."""
+    if not bits:
+        raise MalformedLabel(f"{name} field is empty")
+    return int(bits, 2)
+
+
 def _check_bits(s: str) -> None:
     if any(ch not in "01" for ch in s):
         raise MalformedLabel(f"non-binary field {s!r}")

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .engine import NodeProgram
-from .labels import LabelKind, StructuredLabel
+from .labels import LabelKind, StructuredLabel, field_value
 from .scheme import bits_of
 from .trees import Tree, root_at
 
@@ -74,12 +74,13 @@ class LineLabel:
         if label.kind is LabelKind.LINE_TINY:
             return LineLabel(
                 kind=label.kind,
-                tiny_len=int(label.fields[0], 2),
-                tiny_pos=int(label.fields[1], 2) + 1,
+                tiny_len=field_value(label.fields[0], "length"),
+                tiny_pos=field_value(label.fields[1], "position") + 1,
             )
         t, kb, sb, d = label.fields
+        node_type, pos_mod3 = field_value(t, "node-type"), field_value(d, "position-mod-3")
         return LineLabel(
-            kind=label.kind, node_type=int(t, 2), k_bit=kb, seg_bit=sb, pos_mod3=int(d, 2)
+            kind=label.kind, node_type=node_type, k_bit=kb, seg_bit=sb, pos_mod3=pos_mod3
         )
 
 

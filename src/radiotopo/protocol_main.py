@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import NodeProgram
+from .engine import MissingChunk, NodeProgram, ProtocolViolation
 from .scheme import (
     MARK_DEEP_LEAF,
     MARK_GOSSIP_CORE,
@@ -30,18 +30,10 @@ from .scheme import (
     MARK_ROOT,
     MainLabel,
     SchemeParams,
+    decode_shares,
     derive_params,
-    unchunk,
 )
 from .trees import RootedTree, Tree, TreeError, root_at
-
-
-class ProtocolViolation(RuntimeError):
-    """A message arrived whose shape contradicts the protocol state."""
-
-
-class MissingChunk(ProtocolViolation):
-    """A share carrier's message never arrived; indicates a collision bug."""
 
 
 def rooted_form(tree: Tree) -> str:
@@ -85,23 +77,6 @@ class GossipState:
         self.labels.update(labels)
         self.edges.update(edges)
         self.edges.add((min(self.my_id, sender), max(self.my_id, sender)))
-
-
-def decode_shares(pieces: list, expected: Optional[int] = None) -> int:
-    """The integer a group's (index, chunk) shares spell in binary.
-
-    A missing share (None), a count other than the expected one, indices that
-    are not 1..k, or chunks that spell nothing raise MissingChunk.
-    """
-    if None in pieces or (expected is not None and len(pieces) != expected):
-        raise MissingChunk(f"group produced {len(pieces)} shares, expected {expected}")
-    try:
-        bits = unchunk(pieces)
-    except ValueError as exc:
-        raise MissingChunk(str(exc)) from exc
-    if not bits:
-        raise MissingChunk("the shares carry no bits")
-    return int(bits, 2)
 
 
 def gossip_subtree(

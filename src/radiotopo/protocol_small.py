@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .engine import NodeProgram
-from .labels import LabelKind, StructuredLabel
-from .scheme import bits_of, choose_root, chunk, unchunk
+from .labels import LabelKind, StructuredLabel, field_value
+from .scheme import bits_of, choose_root, chunk, decode_shares
 from .trees import Tree
 
 CARRIER_KINDS = frozenset({LabelKind.D3_LEAF, LabelKind.STAR_LEAF})
@@ -39,7 +39,7 @@ class CarrierLabel:
     root side's carrier count."""
 
     kind: LabelKind
-    count_bits: str = ""  # HubD3 only
+    far_carriers: int = 0  # HubD3 only
     last: bool = False  # carriers only
     carrier_id: int = 0
     piece: str = ""
@@ -48,7 +48,7 @@ class CarrierLabel:
         if self.kind in CARRIER_KINDS:
             fields = ("1" if self.last else "0", bits_of(self.carrier_id), self.piece)
         elif self.kind is LabelKind.D3_HUB:
-            fields = (self.count_bits,)
+            fields = (bits_of(self.far_carriers),)
         else:
             fields = ()
         return StructuredLabel(kind=self.kind, fields=fields)
@@ -57,9 +57,11 @@ class CarrierLabel:
     def from_structured(label: StructuredLabel) -> "CarrierLabel":
         if label.kind in CARRIER_KINDS:
             flag, ident, piece = label.fields
-            return CarrierLabel(kind=label.kind, last=flag == "1", carrier_id=int(ident, 2), piece=piece)
+            carrier_id = field_value(ident, "carrier-id")
+            return CarrierLabel(kind=label.kind, last=flag == "1", carrier_id=carrier_id, piece=piece)
         if label.kind is LabelKind.D3_HUB:
-            return CarrierLabel(kind=label.kind, count_bits=label.fields[0])
+            far_carriers = field_value(label.fields[0], "carrier-count")
+            return CarrierLabel(kind=label.kind, far_carriers=far_carriers)
         return CarrierLabel(kind=label.kind)
 
 
@@ -92,7 +94,7 @@ def label_d3(tree: Tree) -> dict[int, CarrierLabel]:
     labels.update(_carrier_labels(hub_leaves, c, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL))
     root_carriers = len(chunk(bits_of(len(root_leaves)), c))
     labels[root] = CarrierLabel(kind=LabelKind.D3_ROOT)
-    labels[hub] = CarrierLabel(kind=LabelKind.D3_HUB, count_bits=bits_of(root_carriers))
+    labels[hub] = CarrierLabel(kind=LabelKind.D3_HUB, far_carriers=root_carriers)
     return labels
 
 
@@ -162,7 +164,7 @@ class HubProgram(NodeProgram):
     def collect(self, lab: CarrierLabel) -> Optional[int]:
         """File one carrier's chunk; the decoded leaf count once the last is in."""
         self.pieces[lab.carrier_id] = lab.piece
-        return int(unchunk(self.pieces.items()), 2) if lab.last else None
+        return decode_shares(list(self.pieces.items())) if lab.last else None
 
 
 class StarCenterProgram(HubProgram):
@@ -181,8 +183,8 @@ class D3HubProgram(HubProgram):
             near = self.collect(message[1])
             if near is not None:
                 # Speak once the root has heard its own last carrier as well.
-                far_carriers = int(self.label.count_bits, 2)
-                self.outbox[max(far_carriers, message[1].carrier_id) + 1] = ("count", near)
+                last_round = max(self.label.far_carriers, message[1].carrier_id)
+                self.outbox[last_round + 1] = ("count", near)
         elif message[0] == "tree" and self.output is None:
             tree = message[1]
             self.output = (tree, 1)

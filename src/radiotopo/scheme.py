@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .engine import MissingChunk
 from .labels import LabelKind, MalformedLabel, StructuredLabel
 from .trees import (
     RootedTree,
@@ -69,6 +70,23 @@ def unchunk(pairs) -> str:
     if [i for i, _ in items] != list(range(1, len(items) + 1)):
         raise ValueError(f"chunk indices not contiguous: {[i for i, _ in items]}")
     return "".join(b for _, b in items)
+
+
+def decode_shares(pieces: list, expected: Optional[int] = None) -> int:
+    """The integer a group's (index, chunk) shares spell in binary.
+
+    A missing share (None), a count other than the expected one, indices that
+    are not 1..k, or chunks that spell nothing raise MissingChunk.
+    """
+    if None in pieces or (expected is not None and len(pieces) != expected):
+        raise MissingChunk(f"group produced {len(pieces)} shares, expected {expected}")
+    try:
+        bits = unchunk(pieces)
+    except ValueError as exc:
+        raise MissingChunk(str(exc)) from exc
+    if not bits:
+        raise MissingChunk("the shares carry no bits")
+    return int(bits, 2)
 
 
 @dataclass(frozen=True)
@@ -135,6 +153,8 @@ class MainLabel:
         f = label.fields
         if len(f[0]) != 7:
             raise MalformedLabel(f"main-scheme markers field {f[0]!r} is not seven bits")
+        if not f[10]:
+            raise MalformedLabel("main-scheme core-size field is empty")
 
         def pair(id_bits: str, chunk_bits: str):
             return (int(id_bits, 2), chunk_bits) if id_bits else None

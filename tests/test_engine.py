@@ -3,7 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_history
-from radiotopo.engine import NodeProgram, RoundLimitExceeded, Transcript, history_of, simulate
+from radiotopo.engine import (
+    MissingChunk,
+    NodeProgram,
+    ProtocolViolation,
+    RoundLimitExceeded,
+    RunFailed,
+    Transcript,
+    history_of,
+    simulate,
+)
 from radiotopo.trees import Tree
 
 
@@ -83,6 +92,37 @@ class TestSimulateContract:
         with pytest.raises(RoundLimitExceeded) as err:
             simulate(path(2), {0: Silent(), 1: Silent()}, 3)
         assert err.value.missing == [0, 1]
+
+    def test_program_fault_fails_the_run_at_its_node(self):
+        class FaultyDecide(Script):
+            def decide(self, round_no):
+                if round_no == 2:
+                    return {}["no such key"]
+                return super().decide(round_no)
+
+        class FaultyReceive(Script):
+            def receive(self, round_no, message):
+                raise IndexError("tuple index out of range")
+
+        with pytest.raises(ProtocolViolation) as err:
+            simulate(path(3), {0: Script(), 1: FaultyDecide(), 2: Script()}, 5)
+        assert str(err.value).startswith("node 1, round 2: KeyError(")
+        assert isinstance(err.value.__cause__, KeyError)
+        with pytest.raises(ProtocolViolation) as err:
+            simulate(path(3), {0: Script({1: "X"}), 1: FaultyReceive(), 2: Script()}, 5)
+        assert str(err.value) == "node 1, round 1: IndexError('tuple index out of range')"
+        assert isinstance(err.value, RunFailed)
+
+    def test_run_failed_from_a_program_passes_unchanged(self):
+        raised = MissingChunk("a share never arrived")
+
+        class Failing(Script):
+            def decide(self, round_no):
+                raise raised
+
+        with pytest.raises(MissingChunk) as err:
+            simulate(path(2), {0: Script(), 1: Failing()}, 5)
+        assert err.value is raised
 
     def test_metrics_and_output_rounds(self):
         _, transcript, metrics = run(path(2), {0: {1: "X"}}, rounds=4, out_round=3)

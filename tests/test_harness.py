@@ -77,11 +77,6 @@ class TestProtocolTable:
         assert again.report.checks == art.report.checks
         assert again.windows == art.windows
 
-    def test_preset_labels_for_another_protocol_rejected(self):
-        art = run_tree(self.TREES["star"])
-        with pytest.raises(ValueError):
-            run_tree(self.TREES["star"], protocol="line", preset_labels=art.structured)
-
 
 class TestCheckRun:
     def test_correct_run_all_true(self):
@@ -385,6 +380,28 @@ class TestCli:
         capsys.readouterr()
         assert self.verify(files) == 1
         assert f"transcript names nodes outside 0..{tree.n - 1}: [99]" in capsys.readouterr().out
+
+    def test_verify_checks_the_radio_model(self, tmp_path, capsys):
+        # Node 3 never transmits, and node 0's other neighbors hear nothing.
+        files = self.record(tmp_path, random_tree(4, 4, 1))
+        transcript = tmp_path / "t.transcript"
+        outs = [ln for ln in transcript.read_text().splitlines() if ln.startswith("OUT ")]
+        transcript.write_text("\n".join(["R1 T:0 D:1<-0,2<-3"] + outs) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert "deliveries break the radio model in rounds [1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("when", ["0", "late"])
+    def test_verify_rejects_output_rounds_outside_the_run(self, tmp_path, capsys, when):
+        files = self.record(tmp_path, path_tree(6))
+        transcript = tmp_path / "t.transcript"
+        lines = transcript.read_text().splitlines()
+        rounds = sum(ln.startswith("R") for ln in lines)
+        lines[-1] = f"OUT 6 {0 if when == '0' else rounds + 1}"
+        transcript.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert f"output rounds outside 1..{rounds} for nodes [6]" in capsys.readouterr().out
 
     def test_parse_outputs_shares_identical_trees(self, tmp_path):
         files = self.record(tmp_path, path_tree(6))

@@ -1,0 +1,111 @@
+"""Wrong labels end a run cleanly.
+
+A single-field mutation of one node's label must give a run that returns
+(valid or not), a RunFailed (exit 1 on the command line) or a MalformedLabel
+(exit 2), never another exception.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radiotopo import MalformedLabel, RunFailed
+from radiotopo.cli import main as cli_main
+from radiotopo.generators import random_tree
+from radiotopo.harness import run_tree
+from radiotopo.labels import StructuredLabel, labels_to_text
+from radiotopo.protocol_line import path_tree
+from radiotopo.protocol_small import star_tree
+from radiotopo.trees import Tree, tree_to_text
+
+# One small tree per label kind: tiny line, line, star, two-hub, main.
+TWO_HUB = Tree(9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (1, 7), (0, 8)])
+TREES = {
+    "line_tiny": path_tree(3),
+    "line": path_tree(40),
+    "star": star_tree(9),
+    "d3": TWO_HUB,
+    "main": random_tree(8, 6, 1),
+}
+LABELS = {name: run_tree(tree).structured for name, tree in TREES.items()}
+
+
+def mutated(labels, node, field, bits):
+    lab = labels[node]
+    fields = lab.fields[:field] + (bits,) + lab.fields[field + 1:]
+    return {**labels, node: StructuredLabel(lab.kind, fields)}
+
+
+def ends_cleanly(tree, labels):
+    try:
+        run_tree(tree, preset_labels=labels)
+    except (RunFailed, MalformedLabel):
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_single_field_mutation_ends_cleanly(name):
+    tree, labels = TREES[name], LABELS[name]
+    for node, lab in labels.items():
+        for field, bits in enumerate(lab.fields):
+            for new in {"", bits + "1", "1" * max(1, len(bits))} - {bits}:
+                ends_cleanly(tree, mutated(labels, node, field, new))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_random_field_contents_end_cleanly(data):
+    name = data.draw(st.sampled_from(sorted(TREES)))
+    labels = LABELS[name]
+    node = data.draw(st.sampled_from([v for v, lab in labels.items() if lab.fields]))
+    field = data.draw(st.integers(0, len(labels[node].fields) - 1))
+    bits = data.draw(st.text(alphabet="01", max_size=8))
+    ends_cleanly(TREES[name], mutated(labels, node, field, bits))
+
+
+def run_mutated(tmp_path, capsys, tree, node, field, bits):
+    tree_file, labels_file = tmp_path / "t.tree", tmp_path / "t.labels"
+    tree_file.write_text(tree_to_text(tree))
+    labels = mutated(run_tree(tree).structured, node, field, bits)
+    labels_file.write_text(labels_to_text(labels))
+    capsys.readouterr()
+    code = cli_main(["run", "--tree", str(tree_file), "--labels", str(labels_file)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tree, node, field, bits",
+    [
+        (TWO_HUB, 6, 0, "0"),  # no carrier is last: TypeError in the root
+        (random_tree(16, 6, 2), 0, 7, "11"),  # shape index outside the catalog
+        (random_tree(8, 6, 1), 3, 2, "0000"),  # decoded degree 0: UnsupportedShape
+    ],
+)
+def test_program_faults_exit_1_naming_the_node(tmp_path, capsys, tree, node, field, bits):
+    code, err = run_mutated(tmp_path, capsys, tree, node, field, bits)
+    assert code == 1
+    assert err.startswith("run failed: node ")
+
+
+def test_star_with_a_gap_in_carrier_ids_fails_the_run(tmp_path, capsys):
+    # star_tree(9) spreads 9 = 0b1001 over carriers 1..4; carrier 2 becomes 5.
+    code, err = run_mutated(tmp_path, capsys, star_tree(9), 2, 1, "101")
+    assert code == 1
+    assert "chunk indices not contiguous" in err
+
+
+@pytest.mark.parametrize(
+    "tree, node, field, message",
+    [
+        (random_tree(8, 6, 1), 3, 10, "node 3: main-scheme core-size field is empty"),
+        (star_tree(9), 1, 1, "node 1: carrier-id field is empty"),
+        (path_tree(40), 5, 3, "node 5: position-mod-3 field is empty"),
+    ],
+)
+def test_empty_integer_field_is_malformed(tmp_path, capsys, tree, node, field, message):
+    labels = mutated(run_tree(tree).structured, node, field, "")
+    with pytest.raises(MalformedLabel, match=message):
+        run_tree(tree, preset_labels=labels)
+    code, err = run_mutated(tmp_path, capsys, tree, node, field, "")
+    assert code == 2
+    assert message in err
