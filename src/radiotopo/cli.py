@@ -27,7 +27,6 @@ from .harness import (  # noqa: F401
     structured_labels_for,
 )
 from .labels import labels_from_text, labels_to_text
-from .scheme import truth_to_text
 from .trees import Tree, TreeError, parse_tree_text, tree_to_text
 
 
@@ -56,11 +55,8 @@ def _cmd_gen(args) -> int:
 def _cmd_label(args) -> int:
     tree = _load_tree(args.tree)
     protocol = dispatch_protocol(tree)
-    structured, context = structured_labels_for(tree, protocol)
+    structured, _ = structured_labels_for(tree, protocol)
     Path(args.out).write_text(labels_to_text(structured))
-    if args.truth:  # only the general scheme has a ground truth to record
-        truth = getattr(context, "truth", None)
-        Path(args.truth).write_text(truth_to_text(truth) if truth else "")
     print(f"protocol {protocol}, {len(structured)} labels -> {args.out}")
     return 0
 
@@ -148,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="write labels for a tree file")
     p.add_argument("--tree", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--truth")
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("run", help="simulate one tree end to end")

@@ -5,8 +5,8 @@ commits to transmit or listen (decide), then every listener hears the payload
 of its unique transmitting neighbor, or nothing if zero or several neighbors
 transmitted.  Reception lands in the same round as the transmission, and a
 program is told only of a delivery: hearing nothing calls no method.
-A run that fails raises RunFailed; a program that raises anything else
-fails the run as a ProtocolViolation naming the node and the round.
+A run that fails raises RunFailed, naming the node and round when a program
+fails it; any other exception from a program becomes a ProtocolViolation.
 """
 
 from __future__ import annotations
@@ -45,12 +45,32 @@ class NodeProgram:
     receive(round, message) is called after all decisions, and only when the
     node listened and exactly one neighbor transmitted; message is its payload.
     The output attribute, once set to a (tree, node) pair, must never change.
+
+    Protocols keep their schedule on one agenda instead of defining decide:
+    at(round, action) runs action(round) in that round, send(round, message)
+    sends a fixed message, and a round already past never comes.  The default
+    decide runs a round's actions in the order they were added and sends the
+    last message they returned.
     """
 
     output: Optional[tuple[Tree, int]] = None
 
+    def __init__(self):
+        self.agenda: dict[int, list] = {}
+
+    def at(self, round_no: int, action) -> None:
+        self.agenda.setdefault(round_no, []).append(action)
+
+    def send(self, round_no: int, message) -> None:
+        self.at(round_no, lambda _round: message)
+
     def decide(self, round_no: int):
-        raise NotImplementedError
+        message = None
+        for action in self.agenda.pop(round_no, ()):
+            sent = action(round_no)
+            if sent is not None:
+                message = sent
+        return message
 
     def receive(self, round_no: int, message) -> None:
         raise NotImplementedError
@@ -158,9 +178,10 @@ def simulate(
                 for v, w in deliveries:
                     programs[v].receive(round_no, payloads[w])
                 record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
+        except RunFailed as exc:
+            exc.args = (f"node {v}, round {round_no}: {exc}",)
+            raise
         except Exception as exc:
-            if isinstance(exc, RunFailed):
-                raise
             raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
         total_tx += len(payloads)
         transcript.records.append(record)

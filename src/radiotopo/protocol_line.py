@@ -142,36 +142,25 @@ def boundary_tx_round(segment: int, stride: int) -> int:
 
 class LineProgram(NodeProgram):
     def __init__(self, label: LineLabel):
+        super().__init__()
         self.label = label
         self.first_rx: Optional[int] = None  # forward-probe arrival round
-        self.outbox: dict[int, tuple] = {}
-        self.started = False
         self.resolved = False
         self.output = None
+        if label.kind is LabelKind.LINE_TINY:
+            self.at(1, lambda _round: self._place(label.tiny_len, label.tiny_pos))
+        elif label.node_type == 1:
+            self.send(first_dedicated(label.pos_mod3), ("probe", "", ""))
 
     def _place(self, k: int, pos: int) -> None:
         self.output = (path_tree(k), pos - 1)
-
-    def decide(self, round_no: int):
-        lab = self.label
-        if lab.kind is LabelKind.LINE_TINY:
-            if self.output is None:
-                self._place(lab.tiny_len, lab.tiny_pos)
-            return None
-        if (
-            lab.node_type == 1
-            and not self.started
-            and round_no == first_dedicated(lab.pos_mod3)
-        ):
-            self.started = True
-            return ("probe", "", "")
-        return self.outbox.pop(round_no, None)
 
     def receive(self, round_no: int, message) -> None:
         lab = self.label
         if lab.kind is LabelKind.LINE_TINY:
             return
         tag = message[0]
+        relay_round = next_dedicated(lab.pos_mod3, round_no)
         if tag == "probe":
             if self.first_rx is not None or lab.node_type == 1:
                 return
@@ -179,10 +168,10 @@ class LineProgram(NodeProgram):
             if lab.node_type == 2:
                 self.first_rx = round_no
                 grown = ("probe", kbits + lab.k_bit, segbits + lab.seg_bit)
-                self.outbox[next_dedicated(lab.pos_mod3, round_no)] = grown
+                self.send(relay_round, grown)
             elif lab.node_type == 3:
                 self.first_rx = round_no
-                self.outbox[next_dedicated(lab.pos_mod3, round_no)] = message
+                self.send(relay_round, message)
             elif lab.node_type == 0 and kbits:
                 self.first_rx = round_no
                 k = int(kbits, 2)
@@ -190,12 +179,7 @@ class LineProgram(NodeProgram):
                 stride = stride_for(k)
                 self.resolved = True
                 self._place(k, segment * stride + (round_no - starter_round(segment, stride) + 1) + 1)
-                self.outbox[next_dedicated(lab.pos_mod3, round_no)] = (
-                    "resolve",
-                    k,
-                    segment,
-                    lab.pos_mod3,
-                )
+                self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
             return
         if tag == "resolve":
             if self.resolved:
@@ -216,7 +200,7 @@ class LineProgram(NodeProgram):
             else:
                 pos = (segment + 1) * stride + (round_no - boundary_tx_round(segment, stride) + 1)
             self._place(k, pos)
-            self.outbox[next_dedicated(lab.pos_mod3, round_no)] = ("resolve", k, segment, lab.pos_mod3)
+            self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
             return
 
 

@@ -2,7 +2,7 @@
 
 The schedule is phase_windows(m, h, E), with m the core-group size, h the
 learned tree height and E the half-epoch length derived from the learned
-maximum degree; every round boundary a node uses is a lookup in it:
+maximum degree; a node puts each step on its agenda at a round read from it:
 
   core_gossip    root-core gossip; the root decodes the max degree
   parameter      level wave down, height wave up, height flood down
@@ -106,12 +106,13 @@ def attach_subtrees(parts: list[Tree]) -> Tree:
     return Tree(n, edges)
 
 
-def aggregate_children(received: list[tuple[MainLabel, Tree, int]]) -> Tree:
+def aggregate_children(received: list[tuple[MainLabel, Tree, int]], max_children: int) -> Tree:
     """Rebuild a node's subtree from one epoch of children messages.
 
     Heavy children sent their own subtrees, attached verbatim.  Same-shape
     light children are counted through their group-size share chunks, and
-    that many copies of the shape are attached.
+    that many copies of the shape are attached; counts that spell more than
+    max_children children in all fail the run before any copy is made.
     """
     heavy_parts: list[Tree] = []
     light_groups: dict[str, tuple[Tree, dict[int, str]]] = {}
@@ -128,7 +129,10 @@ def aggregate_children(received: list[tuple[MainLabel, Tree, int]]) -> Tree:
     parts = list(heavy_parts)
     for form in sorted(light_groups):
         tree, chunks = light_groups[form]
-        parts.extend([tree] * decode_shares(list(chunks.items())))
+        count = decode_shares(list(chunks.items()))
+        if len(parts) + count > max_children:
+            raise ProtocolViolation(f"count shares spell more than {max_children} children")
+        parts.extend([tree] * count)
     return attach_subtrees(parts)
 
 
@@ -161,6 +165,7 @@ class MainProgram(NodeProgram):
     """State machine run by every node of a labeled tree."""
 
     def __init__(self, label: MainLabel):
+        super().__init__()
         self.label = label
         self.m = label.core_size
         self.is_root = label.marker(MARK_ROOT)
@@ -182,25 +187,29 @@ class MainProgram(NodeProgram):
         self.round_level: Optional[int] = 0 if self.is_root else None
         self.round_height: Optional[int] = None
 
-        self.outbox: dict[int, tuple] = {}
         # The gossip groups this node is in, by phase, until each is decoded.
         self.gossip: dict[str, GossipState] = {}
-        self._join("core", label.degree_share)
+        self._join("core", label.degree_share, 0)
+        if self.is_root:  # after the core decode, which lands in the same round
+            self.at(self.windows["parameter"][0], self._start_level_wave)
         self.tr_received: list[tuple[MainLabel, Tree, int]] = []
-        self.tr_tx_round: Optional[int] = None
-        self.tr_message: Optional[tuple] = None
         self.flood_seen = False
         self.tr_transmits = label.marker(MARK_HEAVY) or label.count_share is not None
-        self.my_epoch_start = 0
         self.child_epoch = (0, -1)  # inclusive round window of children's epoch
 
-    def _join(self, tag: str, share: Optional[tuple[int, str]]) -> None:
-        """Enter the gossip group of a phase when the label holds its share."""
-        if share is not None:
-            phase = tag + "_gossip"
-            self.gossip[phase] = GossipState(
-                tag, share[0], self.label, self.m, self.windows[phase][0] - 1
-            )
+    def _join(self, tag: str, share: Optional[tuple[int, str]], round_no: int) -> None:
+        """Enter the gossip group of a phase when the label holds its share:
+        speak in the node's slots and decode the group after its window."""
+        if share is None:
+            return
+        phase = tag + "_gossip"
+        lo, hi = self.windows[phase]
+        group = GossipState(tag, share[0], self.label, self.m, lo - 1)
+        self.gossip[phase] = group
+        for slot_round in range(lo - 1 + group.my_id, hi + 1, self.m):
+            self.at(slot_round, group.decide)
+        # A window that contradicting labels put in the past decodes in the next round.
+        self.at(max(hi + 1, round_no + 1), lambda _round: self._finish_gossip(phase))
 
     def _learn_height(self, height: int, round_no: int) -> None:
         if self.height is not None:
@@ -209,15 +218,19 @@ class MainProgram(NodeProgram):
         self.round_height = round_no
         e = self.params.block_len
         self.windows = phase_windows(self.m, height, e)
-        self._join("slot", self.label.slot_share)
-        self._join("shape", self.label.shape_share)
+        self._join("slot", self.label.slot_share, round_no)
+        self._join("shape", self.label.shape_share, round_no)
         # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in epoch h-l+1.
         lo = self.windows["collect"][0]
         if self.level is not None and self.level >= 1 and self.tr_transmits:
-            self.my_epoch_start = lo + (height - self.level) * 2 * e
+            epoch = lo + (height - self.level) * 2 * e
+            if epoch >= 1:  # a level below a contradicting height may put it before round 1
+                self.at(max(epoch, round_no + 1), lambda now: self._send_subtree(epoch, now))
         if self.level is not None and self.level < height:
             start = lo + (height - self.level - 1) * 2 * e
             self.child_epoch = (start, start + 2 * e - 1)
+        if self.is_root:
+            self.at(self.windows["assemble"][0], self._assemble)
 
     def _relays_level_wave(self) -> bool:
         """Whether this node forwards the level wave one step down.
@@ -246,8 +259,14 @@ class MainProgram(NodeProgram):
         self.params = derive_params(delta)
         self.round_delta = round_no
 
-    def _finish_gossip(self, phase: str, group: GossipState) -> None:
+    def _start_level_wave(self, round_no: int) -> tuple:
+        if self.delta is None:
+            raise MissingChunk("the root reached the level wave without a decoded degree")
+        return ("level_wave", self.delta)
+
+    def _finish_gossip(self, phase: str) -> None:
         """Decode what a group spread, once its window has passed."""
+        group = self.gossip.pop(phase)
         labels = group.labels.values()
         if phase == "core_gossip":
             if self.is_root:
@@ -261,61 +280,32 @@ class MainProgram(NodeProgram):
             if group.my_id == 1:
                 self.shape_index = decode_shares([lab.shape_share for lab in labels])
 
-    def _prepare_transmission(self, epoch_start: int) -> None:
+    def _send_subtree(self, epoch_start: int, round_no: int) -> Optional[tuple]:
+        """Collection step at the node's epoch start: send now or schedule it."""
         e = self.params.block_len
         lab = self.label
         if lab.marker(MARK_HEAVY):
-            self.my_subtree = aggregate_children(self.tr_received)
+            self.my_subtree = aggregate_children(self.tr_received, self.delta)
             if self.slot is None:
                 echoes = [c for l, t, c in self.tr_received if l.marker(MARK_HEAVY) and l.slot_echo]
                 if len(echoes) != 1:
                     raise ProtocolViolation(f"{len(echoes)} slot echoes among heavy children")
                 self.slot = echoes[0]
-            self.tr_tx_round = epoch_start - 1 + self.slot
-            self.tr_message = ("subtree", lab, self.my_subtree, self.slot)
-        elif lab.count_share is not None:
+            tx_round = epoch_start - 1 + self.slot
+            message = ("subtree", lab, self.my_subtree, self.slot)
+        else:
             shape = self.params.catalog.tree_at(self.shape_index)
             offset = e + (self.shape_index - 1) * self.m + lab.count_share[0]
-            self.tr_tx_round = epoch_start - 1 + offset
-            self.tr_message = ("subtree", lab, shape, 0)
+            tx_round = epoch_start - 1 + offset
+            message = ("subtree", lab, shape, 0)
+        if tx_round == round_no:
+            return message
+        self.send(tx_round, message)
 
-    def decide(self, round_no: int):
-        if self.output is not None and not self.outbox:
-            return None
-
-        if self.gossip:  # windows are disjoint and the groups are in phase order
-            for phase, group in list(self.gossip.items()):
-                lo, hi = self.windows[phase]
-                if round_no > hi:
-                    del self.gossip[phase]
-                    self._finish_gossip(phase, group)
-                elif round_no >= lo:
-                    return group.decide(round_no)
-
-        if self.is_root and round_no == self.windows["parameter"][0]:
-            if self.delta is None:
-                raise MissingChunk("the root reached the level wave without a decoded degree")
-            return ("level_wave", self.delta)
-
-        if self.outbox:
-            scheduled = self.outbox.pop(round_no, None)
-            if scheduled is not None:
-                return scheduled
-
-        if self.height is None:
-            return None
-
-        if self.tr_tx_round is None and round_no >= self.my_epoch_start > 0:
-            self._prepare_transmission(self.my_epoch_start)
-        if round_no == self.tr_tx_round:
-            return self.tr_message
-
-        if self.is_root and round_no == self.windows["assemble"][0]:
-            self.my_subtree = aggregate_children(self.tr_received)
-            self.output = (self.my_subtree, 0)
-            return ("assemble", root_at(self.my_subtree, 0), 0)
-
-        return None
+    def _assemble(self, round_no: int) -> tuple:
+        self.my_subtree = aggregate_children(self.tr_received, self.delta)
+        self.output = (self.my_subtree, 0)
+        return ("assemble", root_at(self.my_subtree, 0), 0)
 
     def receive(self, round_no: int, message) -> None:
         tag = message[0]
@@ -331,18 +321,18 @@ class MainProgram(NodeProgram):
                 self.round_level = round_no
                 if self.label.marker(MARK_DEEP_LEAF):
                     self._learn_height(self.level, round_no)
-                    self.outbox[round_no + 1] = ("height_wave", self.height, self.level)
+                    self.send(round_no + 1, ("height_wave", self.height, self.level))
                 elif self._relays_level_wave():
-                    self.outbox[round_no + 1] = ("level_wave", self.delta)
+                    self.send(round_no + 1, ("level_wave", self.delta))
             return
         if tag == "height_wave":
             _, h_value, sender_level = message
             if self.level is not None and sender_level == self.level + 1:
                 self._learn_height(h_value, round_no)
                 if self.level >= 1:
-                    self.outbox[round_no + 1] = ("height_wave", h_value, self.level)
+                    self.send(round_no + 1, ("height_wave", h_value, self.level))
                 else:
-                    self.outbox[round_no + 1] = ("height_flood", h_value)
+                    self.send(round_no + 1, ("height_flood", h_value))
                     self.flood_seen = True  # the originator never re-floods
             return
         if tag == "height_flood":
@@ -350,7 +340,7 @@ class MainProgram(NodeProgram):
                 self.flood_seen = True
                 self._learn_height(message[1], round_no)
                 if self.level is not None and self.level < self.height:
-                    self.outbox[round_no + 1] = ("height_flood", message[1])
+                    self.send(round_no + 1, ("height_flood", message[1]))
             return
         if tag == "subtree":
             if self.child_epoch[0] <= round_no <= self.child_epoch[1]:
@@ -365,7 +355,7 @@ class MainProgram(NodeProgram):
             place = child_place(rt, parent_place, rooted_form(self.my_subtree))
             self.output = (rt.tree, place)
             if self.level < self.height:
-                self.outbox[round_no + 1] = ("assemble", rt, place)
+                self.send(round_no + 1, ("assemble", rt, place))
             return
 
 

@@ -135,13 +135,10 @@ class LeafProgram(NodeProgram):
     0 and never send); every leaf adopts the (tree, place) its hub sends."""
 
     def __init__(self, label: CarrierLabel):
+        super().__init__()
         self.label = label
         self.output = None
-
-    def decide(self, round_no: int):
-        if round_no == self.label.carrier_id:
-            return ("carrier", self.label)
-        return None
+        self.send(label.carrier_id, ("carrier", label))
 
     def receive(self, round_no: int, message) -> None:
         if message[0] == "tree" and self.output is None:
@@ -153,13 +150,10 @@ class HubProgram(NodeProgram):
     sends what it has scheduled."""
 
     def __init__(self, label: CarrierLabel):
+        super().__init__()
         self.label = label
         self.pieces: dict[int, str] = {}
-        self.outbox: dict[int, tuple] = {}
         self.output = None
-
-    def decide(self, round_no: int):
-        return self.outbox.pop(round_no, None)
 
     def collect(self, lab: CarrierLabel) -> Optional[int]:
         """File one carrier's chunk; the decoded leaf count once the last is in."""
@@ -174,7 +168,7 @@ class StarCenterProgram(HubProgram):
         k = self.collect(message[1])
         if k is not None:
             self.output = (star_tree(k), 0)
-            self.outbox[round_no + 1] = ("tree", self.output[0], 1)
+            self.send(round_no + 1, ("tree", self.output[0], 1))
 
 
 class D3HubProgram(HubProgram):
@@ -184,11 +178,11 @@ class D3HubProgram(HubProgram):
             if near is not None:
                 # Speak once the root has heard its own last carrier as well.
                 last_round = max(self.label.far_carriers, message[1].carrier_id)
-                self.outbox[last_round + 1] = ("count", near)
+                self.send(last_round + 1, ("count", near))
         elif message[0] == "tree" and self.output is None:
             tree = message[1]
             self.output = (tree, 1)
-            self.outbox[round_no + 1] = ("tree", tree, 2)
+            self.send(round_no + 1, ("tree", tree, 2))
 
 
 class D3RootProgram(HubProgram):
@@ -203,7 +197,7 @@ class D3RootProgram(HubProgram):
             hub_leaves = message[1]
             tree = _d3_output_tree(root_leaves=self.near_total, hub_leaves=hub_leaves)
             self.output = (tree, 0)
-            self.outbox[round_no + 1] = ("tree", tree, 2 + hub_leaves)
+            self.send(round_no + 1, ("tree", tree, 2 + hub_leaves))
 
 
 _HUB_PROGRAMS = {

@@ -155,6 +155,8 @@ class MainLabel:
             raise MalformedLabel(f"main-scheme markers field {f[0]!r} is not seven bits")
         if not f[10]:
             raise MalformedLabel("main-scheme core-size field is empty")
+        if not int(f[10], 2):
+            raise MalformedLabel("main-scheme core size is zero")
 
         def pair(id_bits: str, chunk_bits: str):
             return (int(id_bits, 2), chunk_bits) if id_bits else None
@@ -326,28 +328,3 @@ def label_tree(tree: Tree) -> LabeledTree:
     truth = GroundTruth(root=rt.root, deep_leaf=deep_leaf, slots=slots, shapes=shapes, heavy=heavy)
     return LabeledTree(tree=tree, rooted=rt, params=params, labels=labels, truth=truth)
 
-
-def truth_to_text(truth: GroundTruth) -> str:
-    lines = []
-    for node in sorted(truth.slots):
-        lines.append(f"t {node} {truth.slots[node]}")
-    for node in sorted(truth.shapes):
-        lines.append(f"z {node} {truth.shapes[node]}")
-    return "\n".join(lines) + "\n"
-
-
-def truth_from_text(text: str) -> tuple[dict[int, int], dict[int, int]]:
-    slots: dict[int, int] = {}
-    shapes: dict[int, int] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        kind, node, value = ln.split()
-        if kind == "t":
-            slots[int(node)] = int(value)
-        elif kind == "z":
-            shapes[int(node)] = int(value)
-        else:
-            raise ValueError(f"bad truth line {ln!r}")
-    return slots, shapes

@@ -123,6 +123,7 @@ class TestSimulateContract:
         with pytest.raises(MissingChunk) as err:
             simulate(path(2), {0: Script(), 1: Failing()}, 5)
         assert err.value is raised
+        assert str(err.value) == "node 1, round 1: a share never arrived"
 
     def test_metrics_and_output_rounds(self):
         _, transcript, metrics = run(path(2), {0: {1: "X"}}, rounds=4, out_round=3)
@@ -184,6 +185,59 @@ class TestSimulateContract:
                 assert tx in rec.transmitters
                 assert rx not in rec.transmitters
                 assert frozenset((rx, tx)) in adj
+
+
+class Planned(NodeProgram):
+    """Keeps its sends and its output on the agenda; decide is the default."""
+
+    def __init__(self, sends=(), out_round=6):
+        super().__init__()
+        for round_no, message in sends:
+            self.send(round_no, message)
+        self.at(out_round, self._finish)
+
+    def _finish(self, round_no):
+        self.output = (Tree(1, []), 0)
+
+    def receive(self, round_no, message):
+        pass
+
+
+class TestAgenda:
+    def test_sends_exactly_in_scheduled_rounds(self):
+        programs = {0: Planned([(2, "a"), (5, "b")]), 1: Script(out_round=6)}
+        _, transcript, metrics = simulate(path(2), programs, 8)
+        assert [rec.transmitters for rec in transcript.records] == [(), (0,), (), (), (0,), ()]
+        assert programs[1].heard == {2: "a", 5: "b"}
+        assert metrics.total_transmissions == 2
+        assert programs[0].agenda == {}
+
+    def test_actions_of_a_round_run_in_order_and_the_last_message_wins(self):
+        ran = []
+        planned = Planned()
+        planned.at(3, lambda r: ran.append(("first", r)) or "x")
+        planned.send(3, "y")
+        planned.at(3, lambda r: ran.append(("third", r)))  # sends nothing
+        programs = {0: planned, 1: Script(out_round=6)}
+        _, transcript, _ = simulate(path(2), programs, 8)
+        assert ran == [("first", 3), ("third", 3)]
+        assert programs[1].heard == {3: "y"}
+        assert transcript.records[2].transmitters == (0,)
+
+    def test_unscheduled_rounds_are_silent(self):
+        programs = {0: Planned(), 1: Planned(out_round=4)}
+        outputs, transcript, metrics = simulate(path(2), programs, 8)
+        assert all(rec.transmitters == () for rec in transcript.records)
+        assert metrics.total_transmissions == 0
+        assert transcript.output_round == {0: 6, 1: 4}
+
+    def test_an_action_that_raises_fails_the_run_at_its_node_and_round(self):
+        planned = Planned()
+        planned.at(2, lambda r: (1, 2)[r])
+        with pytest.raises(ProtocolViolation) as err:
+            simulate(path(2), {0: Script(), 1: planned}, 8)
+        assert str(err.value) == "node 1, round 2: IndexError('tuple index out of range')"
+        assert isinstance(err.value.__cause__, IndexError)
 
 
 class TestHistory:

@@ -243,8 +243,7 @@ class TestCli:
         tree_file = tmp_path / "t.tree"
         tree_file.write_text(tree_to_text(random_tree(3, 4, 1)))
         labels = tmp_path / "t.labels"
-        truth = tmp_path / "t.truth"
-        assert cli_main(["label", "--tree", str(tree_file), "--out", str(labels), "--truth", str(truth)]) == 0
+        assert cli_main(["label", "--tree", str(tree_file), "--out", str(labels)]) == 0
         transcript = tmp_path / "t.transcript"
         outputs = tmp_path / "t.out"
         code = cli_main(

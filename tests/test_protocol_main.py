@@ -124,7 +124,7 @@ class TestRoundRobin:
 
 class TestAggregation:
     def test_no_messages_gives_single_node(self):
-        assert aggregate_children([]).n == 1
+        assert aggregate_children([], 16).n == 1
 
     def test_three_same_shape_light_children(self):
         # Group size 3 rides on one carrier chunk "11".
@@ -138,8 +138,10 @@ class TestAggregation:
             count_share=(1, "11"),
             core_size_bits="10",
         )
-        got = aggregate_children([(label, leaf, 0)])
+        got = aggregate_children([(label, leaf, 0)], 16)
         assert got.n == 4 and got.degree(0) == 3
+        with pytest.raises(ProtocolViolation, match="more than 2 children"):
+            aggregate_children([(label, leaf, 0)], 2)
 
     def test_heavy_child_attached_verbatim(self):
         five_chain = path(5)
@@ -152,7 +154,7 @@ class TestAggregation:
             count_share=None,
             core_size_bits="10",
         )
-        got = aggregate_children([(label, five_chain, 2)])
+        got = aggregate_children([(label, five_chain, 2)], 16)
         assert got.n == 6
         assert rooted_form(got) == rooted_form(path(6))
 

@@ -91,7 +91,22 @@ def test_star_with_a_gap_in_carrier_ids_fails_the_run(tmp_path, capsys):
     # star_tree(9) spreads 9 = 0b1001 over carriers 1..4; carrier 2 becomes 5.
     code, err = run_mutated(tmp_path, capsys, star_tree(9), 2, 1, "101")
     assert code == 1
-    assert "chunk indices not contiguous" in err
+    assert err == "run failed: node 0, round 4: chunk indices not contiguous: [1, 3, 4]\n"
+
+
+def test_count_shares_above_the_degree_fail_the_run(tmp_path, capsys):
+    # Node 0's count chunk of sixteen ones would attach 65,535 copies of its
+    # shape below its parent, node 1, which has at most 16 children.
+    code, err = run_mutated(tmp_path, capsys, random_tree(16, 6, 2), 0, 9, "1" * 16)
+    assert code == 1
+    assert err.startswith("run failed: node 1, round 86: ")
+
+
+@pytest.mark.parametrize("bits", ["0", "000"])
+def test_zero_core_size_is_malformed(tmp_path, capsys, bits):
+    code, err = run_mutated(tmp_path, capsys, random_tree(8, 6, 1), 3, 10, bits)
+    assert code == 2
+    assert "node 3: main-scheme core size is zero" in err
 
 
 @pytest.mark.parametrize(

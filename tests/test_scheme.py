@@ -21,8 +21,6 @@ from radiotopo.scheme import (
     chunk,
     derive_params,
     label_tree,
-    truth_from_text,
-    truth_to_text,
     unchunk,
 )
 from radiotopo.trees import Tree, root_at
@@ -293,11 +291,6 @@ class TestLabelFields:
             bound = 10 * lb.params.core_size.bit_length() + 70
             worst = max(len(encode(lab.to_structured())) for lab in lb.labels.values())
             assert worst <= bound
-
-    def test_truth_file_round_trip(self):
-        lb = label_tree(sample_tree(16, 6, 2))
-        slots, shapes = truth_from_text(truth_to_text(lb.truth))
-        assert slots == lb.truth.slots and shapes == lb.truth.shapes
 
 
 class TestHeavyLightStructure:
