@@ -1,0 +1,41 @@
+#!/usr/bin/env python3
+"""Print how the main protocol's round count compares with D * degree.
+
+Usage: python scripts/round_scaling.py [max_exp]   (default 14, at most 16)
+
+For diameter D = 4 and 8 and degree 2^4 .. 2^max_exp, runs
+random_tree(degree, D, 1) end to end and prints its completion round and
+rounds / (D * degree), the constant of the paper's O(D * degree) bound.  The
+table only reports; no bound is checked.
+"""
+
+import sys
+import time
+
+from radiotopo.generators import random_tree
+from radiotopo.harness import run_tree
+
+
+def main() -> int:
+    hi = int(sys.argv[1]) if len(sys.argv) > 1 else 14
+    if not 4 <= hi <= 16:
+        print("max_exp must be in 4..16", file=sys.stderr)
+        return 2
+    print(f"{'D':>3} {'degree':>8} {'nodes':>8} {'rounds':>8} {'rounds/(D*degree)':>18} {'seconds':>8}")
+    for diameter in (4, 8):
+        for exp in range(4, hi + 1):
+            start = time.time()
+            art = run_tree(random_tree(1 << exp, diameter, 1))
+            rep = art.report
+            ratio = rep.rounds / (rep.diameter * rep.delta)
+            print(f"{rep.diameter:>3} {f'2^{exp}':>8} {rep.n:>8} {rep.rounds:>8} "
+                  f"{ratio:>18.2f} {time.time() - start:>8.1f}", flush=True)
+            if not rep.ok:
+                print(f"run on degree 2^{exp}, D {diameter} does not place every node",
+                      file=sys.stderr)
+                return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -64,7 +64,7 @@ def _cmd_label(args) -> int:
 def _cmd_run(args) -> int:
     tree = _load_tree(args.tree)
     preset = labels_from_text(Path(args.labels).read_text()) if args.labels else None
-    art = run_tree(tree, max_rounds=args.max_rounds, preset_labels=preset)
+    art = run_tree(tree, preset_labels=preset)
     if args.transcript:
         Path(args.transcript).write_text(art.transcript.to_text())
     if args.outputs:
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--transcript")
     p.add_argument("--outputs")
-    p.add_argument("--max-rounds", type=int)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("batch", help="run a config sweep to CSV")
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("verify", help="re-check a recorded run")
+    p = sub.add_parser("verify", help="replay a recorded run and compare")
     p.add_argument("--tree", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--transcript", required=True)

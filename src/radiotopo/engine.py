@@ -4,13 +4,15 @@ Rounds are numbered from 1.  Each round has two phases: every node first
 commits to transmit or listen (decide), then every listener hears the payload
 of its unique transmitting neighbor, or nothing if zero or several neighbors
 transmitted.  Reception lands in the same round as the transmission, and a
-program is told only of a delivery: hearing nothing calls no method.
+program is told only of a delivery: hearing nothing calls no method.  Only
+rounds on some node's agenda are stepped; the others are recorded as silent.
 A run that fails raises RunFailed, naming the node and round when a program
 fails it; any other exception from a program becomes a ProtocolViolation.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,12 +32,11 @@ class MissingChunk(ProtocolViolation):
 
 
 class RoundLimitExceeded(RunFailed):
-    """The round budget ran out before every node produced an output."""
+    """Some node has no output when no round within the budget is left."""
 
-    def __init__(self, missing: list[int], transcript: "Transcript"):
+    def __init__(self, missing: list[int]):
         super().__init__(f"no output from nodes {missing} within the round limit")
         self.missing = missing
-        self.transcript = transcript
 
 
 class NodeProgram:
@@ -46,11 +47,11 @@ class NodeProgram:
     node listened and exactly one neighbor transmitted; message is its payload.
     The output attribute, once set to a (tree, node) pair, must never change.
 
-    Protocols keep their schedule on one agenda instead of defining decide:
-    at(round, action) runs action(round) in that round, send(round, message)
-    sends a fixed message, and a round already past never comes.  The default
-    decide runs a round's actions in the order they were added and sends the
-    last message they returned.
+    A program keeps its schedule on one agenda keyed by round: at(round,
+    action) runs action(round) in that round, send(round, message) sends a
+    fixed message, and a round already past never comes.  decide(round) is
+    called only for a round on the agenda; the default runs its actions in
+    the order they were added and sends the last message they returned.
     """
 
     output: Optional[tuple[Tree, int]] = None
@@ -147,7 +148,6 @@ class Transcript:
 class Metrics:
     completion_round: int
     total_transmissions: int
-    rounds_executed: int
 
 
 def simulate(
@@ -155,28 +155,53 @@ def simulate(
     programs: dict[int, NodeProgram],
     max_rounds: int,
 ) -> tuple[dict[int, tuple[Tree, int]], Transcript, Metrics]:
-    """Drive all programs until every node has output, recording a transcript."""
+    """Drive all programs until every node has output, recording a transcript.
+
+    Only rounds on some agenda are stepped, from a heap: decide is called on
+    the nodes with an action due, in node order, and receive on each
+    delivery; after each call the node's later rounds join the heap.  The run
+    fails when no round within max_rounds is left and a node has no output.
+    """
     if set(programs) != set(range(tree.n)):
         raise ValueError("need exactly one program per node")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     adjacency = tree.adjacency
+    due: dict[int, set[int]] = {}  # round -> nodes with an action in it
+    heap: list[int] = []
+
+    def queue(v: int, after: int) -> None:
+        for round_no in programs[v].agenda:
+            if round_no > after:
+                nodes = due.get(round_no)
+                if nodes is None:
+                    due[round_no] = nodes = set()
+                    heapq.heappush(heap, round_no)
+                nodes.add(v)
+
+    for v in range(tree.n):
+        queue(v, 0)
     transcript = Transcript()
     total_tx = 0
     pending = set(range(tree.n))
-    for round_no in range(1, max_rounds + 1):
+    while pending and heap and heap[0] <= max_rounds:
+        round_no = heapq.heappop(heap)
+        called = sorted(due.pop(round_no))
         payloads: dict[int, object] = {}
         record = SILENT
         # One handler for every program call of the round; v is the caller.
         try:
-            for v in range(tree.n):
+            for v in called:
                 msg = programs[v].decide(round_no)
                 if msg is not None:
                     payloads[v] = msg
+                queue(v, round_no)
             if payloads:
                 deliveries = deliveries_of(adjacency, payloads)
                 for v, w in deliveries:
                     programs[v].receive(round_no, payloads[w])
+                    queue(v, round_no)
+                called.extend(v for v, _ in deliveries)
                 record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
         except RunFailed as exc:
             exc.args = (f"node {v}, round {round_no}: {exc}",)
@@ -184,20 +209,17 @@ def simulate(
         except Exception as exc:
             raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
         total_tx += len(payloads)
-        transcript.records.append(record)
-        for v in list(pending):
-            if programs[v].output is not None:
+        transcript.records += [SILENT] * (round_no - 1 - transcript.rounds()) + [record]
+        for v in called:
+            if v in pending and programs[v].output is not None:
                 transcript.output_round[v] = round_no
                 pending.discard(v)
-        if not pending:
-            break
     if pending:
-        raise RoundLimitExceeded(sorted(pending), transcript)
+        raise RoundLimitExceeded(sorted(pending))
     outputs = {v: programs[v].output for v in range(tree.n)}
     metrics = Metrics(
         completion_round=max(transcript.output_round.values()),
         total_transmissions=total_tx,
-        rounds_executed=transcript.rounds(),
     )
     return outputs, transcript, metrics
 

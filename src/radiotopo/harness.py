@@ -12,12 +12,11 @@ general one) or by the kinds of a given label set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import zip_longest
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
-from .engine import (Metrics, NodeProgram, RunFailed, Transcript, default_round_budget,
-                     deliveries_of, simulate)
+from .engine import Metrics, NodeProgram, RunFailed, Transcript, default_round_budget, simulate
 from .labels import LabelKind, MalformedLabel, StructuredLabel, encode, scheme_length
 from .scheme import LabeledTree, MainLabel, label_tree
 from .trees import OrbitInterner, Tree
@@ -254,51 +253,31 @@ def preset_context(tree: Tree, labels: dict[int, StructuredLabel]) -> tuple[str,
     return owners[0], PROTOCOLS[owners[0]].context(tree, labels)
 
 
-def transcript_faults(tree: Tree, transcript: Transcript) -> list[str]:
-    """Where a transcript breaks the radio model on the tree: a node id
-    outside the tree, a round whose deliveries are not the ones its
-    transmitters make, or an output round outside 1..rounds."""
-    named = {v for rec in transcript.records for v in chain(rec.transmitters, *rec.deliveries)}
-    strangers = sorted(v for v in named | transcript.output_round.keys() if not 0 <= v < tree.n)
-    if strangers:
-        return [f"transcript names nodes outside 0..{tree.n - 1}: {strangers}"]
-    adjacency = tree.adjacency
-    broken = []
-    for rnd, rec in enumerate(transcript.records, start=1):
-        # As in the engine, a silent round skips the rule: it delivers nothing.
-        expected = deliveries_of(adjacency, set(rec.transmitters)) if rec.transmitters else ()
-        if rec.deliveries != tuple(expected):
-            broken.append(rnd)
-    faults = [f"deliveries break the radio model in rounds {broken}"] if broken else []
-    rounds = transcript.rounds()
-    off = sorted(v for v, r in transcript.output_round.items() if not 1 <= r <= rounds)
-    if off:
-        faults.append(f"output rounds outside 1..{rounds} for nodes {off}")
-    return faults
-
-
 def recording_faults(
     tree: Tree,
     labels: dict[int, StructuredLabel],
     transcript: Transcript,
     outputs: dict[int, tuple[Tree, int]],
 ) -> list[str]:
-    """Why a recorded run of the protocol its labels belong to fails; empty
-    when it passes.  A transcript that breaks the radio model stops there."""
+    """Why a recorded run fails; empty when it passes.  The run is replayed
+    from the tree and the labels, and the recorded transcript must be the
+    replay's; a malformed label raises MalformedLabel, as for a run."""
     if labels.keys() != set(range(tree.n)):
         return [f"labels are not for the nodes 0..{tree.n - 1} of the tree"]
-    faults = transcript_faults(tree, transcript)
-    if faults:
-        return faults
     try:
-        proto, context = preset_context(tree, labels)
+        replay = run_tree(tree, preset_labels=labels)
+    except RunFailed as exc:
+        return [f"replay failed: {exc}"]
     except ValueError as exc:
+        if isinstance(exc, MalformedLabel):
+            raise
         return [f"labels do not fit the tree: {exc}"]
-    checks, _ = PROTOCOLS[proto].checks(transcript, context)
-    faults = [f"{proto} check {name} failed" for name, good in checks.items() if not good]
-    missing = transcript.output_round.keys() ^ set(range(tree.n))
-    if missing:
-        faults.append(f"nodes without recorded output round: {sorted(missing)}")
+    rep = replay.report
+    faults = [f"{rep.protocol} check {name} failed" for name, good in rep.checks.items() if not good]
+    pairs = enumerate(zip_longest(transcript.records, replay.transcript.records), start=1)
+    differs = next((f"round {rnd}" for rnd, (got, want) in pairs if got != want), None)
+    if differs or transcript.output_round != replay.transcript.output_round:
+        faults.append(f"transcript differs from the replay at {differs or 'OUT'}")
     verdicts = check_run(tree, outputs)
     invalid = sorted(v for v, good in verdicts.items() if not good)
     if invalid:
@@ -311,7 +290,6 @@ def run_tree(
     family: str = "adhoc",
     seed: int = 0,
     star_delta: Optional[int] = None,
-    max_rounds: Optional[int] = None,
     preset_labels: Optional[dict[int, StructuredLabel]] = None,
 ) -> RunArtifacts:
     """Label (or take preset labels), run and check one tree; a failed run raises RunFailed."""
@@ -322,7 +300,7 @@ def run_tree(
         proto = dispatch_protocol(tree)
         structured, context = structured_labels_for(tree, proto, star_delta)
     programs = programs_from_structured(structured, proto)
-    budget = max_rounds or default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
+    budget = default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
     outputs, transcript, metrics = simulate(tree, programs, budget)
     node_valid = check_run(tree, outputs)
     checks, windows = PROTOCOLS[proto].checks(transcript, context)

@@ -8,6 +8,16 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from radiotopo.engine import (
+    SILENT,
+    Metrics,
+    ProtocolViolation,
+    RoundLimitExceeded,
+    RoundRecord,
+    RunFailed,
+    Transcript,
+    deliveries_of,
+)
 from radiotopo.trees import Tree
 
 # Number of rooted trees on n unlabeled nodes, n = 0..8 (standard sequence).
@@ -162,3 +172,50 @@ def all_longest_paths(tree: Tree):
         if tree.degree(v) == 1 or tree.n == 1:
             walk(v, None, [v])
     return paths
+
+
+def polling_simulate(tree: Tree, programs: dict, max_rounds: int):
+    """The engine as a polling loop: decide on every node in every round up
+    to max_rounds, and a scan of every node still without output after each
+    round.  Same contract and results as engine.simulate."""
+    if set(programs) != set(range(tree.n)):
+        raise ValueError("need exactly one program per node")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    transcript = Transcript()
+    total_tx = 0
+    pending = set(range(tree.n))
+    for round_no in range(1, max_rounds + 1):
+        payloads = {}
+        record = SILENT
+        try:
+            for v in range(tree.n):
+                msg = programs[v].decide(round_no)
+                if msg is not None:
+                    payloads[v] = msg
+            if payloads:
+                deliveries = deliveries_of(tree.adjacency, payloads)
+                for v, w in deliveries:
+                    programs[v].receive(round_no, payloads[w])
+                record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
+        except RunFailed as exc:
+            exc.args = (f"node {v}, round {round_no}: {exc}",)
+            raise
+        except Exception as exc:
+            raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
+        total_tx += len(payloads)
+        transcript.records.append(record)
+        for v in list(pending):
+            if programs[v].output is not None:
+                transcript.output_round[v] = round_no
+                pending.discard(v)
+        if not pending:
+            break
+    if pending:
+        raise RoundLimitExceeded(sorted(pending))
+    outputs = {v: programs[v].output for v in range(tree.n)}
+    metrics = Metrics(
+        completion_round=max(transcript.output_round.values()),
+        total_transmissions=total_tx,
+    )
+    return outputs, transcript, metrics

@@ -1,8 +1,12 @@
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_history
+from oracles import brute_history, polling_simulate
 from radiotopo.engine import (
     MissingChunk,
     NodeProgram,
@@ -10,10 +14,15 @@ from radiotopo.engine import (
     RoundLimitExceeded,
     RunFailed,
     Transcript,
+    default_round_budget,
     history_of,
     simulate,
 )
+from radiotopo.generators import random_tree
+from radiotopo.harness import dispatch_protocol, programs_from_structured, structured_labels_for
+from radiotopo.labels import MalformedLabel, StructuredLabel
 from radiotopo.trees import Tree
+from test_parity import TREES as PARITY_TREES
 
 
 def path(n):
@@ -25,18 +34,18 @@ def star(k):
 
 
 class Script(NodeProgram):
-    """Transmits scripted payloads, records receptions, outputs at a round."""
+    """Keeps scripted sends and an output round on its agenda; records receptions."""
 
     def __init__(self, plan=None, out_round=10):
-        self.plan = plan or {}
-        self.out_round = out_round
+        super().__init__()
         self.heard = {}
         self.output = None
+        for round_no, message in (plan or {}).items():
+            self.send(round_no, message)
+        self.at(out_round, self._finish)
 
-    def decide(self, round_no):
-        if round_no >= self.out_round and self.output is None:
-            self.output = (Tree(1, []), 0)
-        return self.plan.get(round_no)
+    def _finish(self, round_no):
+        self.output = (Tree(1, []), 0)
 
     def receive(self, round_no, message):
         if message is not None:
@@ -83,9 +92,6 @@ class TestSimulateContract:
         class Silent(NodeProgram):
             output = None
 
-            def decide(self, round_no):
-                return None
-
             def receive(self, round_no, message):
                 pass
 
@@ -95,10 +101,9 @@ class TestSimulateContract:
 
     def test_program_fault_fails_the_run_at_its_node(self):
         class FaultyDecide(Script):
-            def decide(self, round_no):
-                if round_no == 2:
-                    return {}["no such key"]
-                return super().decide(round_no)
+            def __init__(self):
+                super().__init__()
+                self.at(2, lambda round_no: {}["no such key"])
 
         class FaultyReceive(Script):
             def receive(self, round_no, message):
@@ -117,7 +122,11 @@ class TestSimulateContract:
         raised = MissingChunk("a share never arrived")
 
         class Failing(Script):
-            def decide(self, round_no):
+            def __init__(self):
+                super().__init__()
+                self.at(1, self._fail)
+
+            def _fail(self, round_no):
                 raise raised
 
         with pytest.raises(MissingChunk) as err:
@@ -187,25 +196,9 @@ class TestSimulateContract:
                 assert frozenset((rx, tx)) in adj
 
 
-class Planned(NodeProgram):
-    """Keeps its sends and its output on the agenda; decide is the default."""
-
-    def __init__(self, sends=(), out_round=6):
-        super().__init__()
-        for round_no, message in sends:
-            self.send(round_no, message)
-        self.at(out_round, self._finish)
-
-    def _finish(self, round_no):
-        self.output = (Tree(1, []), 0)
-
-    def receive(self, round_no, message):
-        pass
-
-
 class TestAgenda:
     def test_sends_exactly_in_scheduled_rounds(self):
-        programs = {0: Planned([(2, "a"), (5, "b")]), 1: Script(out_round=6)}
+        programs = {0: Script({2: "a", 5: "b"}, out_round=6), 1: Script(out_round=6)}
         _, transcript, metrics = simulate(path(2), programs, 8)
         assert [rec.transmitters for rec in transcript.records] == [(), (0,), (), (), (0,), ()]
         assert programs[1].heard == {2: "a", 5: "b"}
@@ -214,7 +207,7 @@ class TestAgenda:
 
     def test_actions_of_a_round_run_in_order_and_the_last_message_wins(self):
         ran = []
-        planned = Planned()
+        planned = Script(out_round=6)
         planned.at(3, lambda r: ran.append(("first", r)) or "x")
         planned.send(3, "y")
         planned.at(3, lambda r: ran.append(("third", r)))  # sends nothing
@@ -225,14 +218,14 @@ class TestAgenda:
         assert transcript.records[2].transmitters == (0,)
 
     def test_unscheduled_rounds_are_silent(self):
-        programs = {0: Planned(), 1: Planned(out_round=4)}
+        programs = {0: Script(out_round=6), 1: Script(out_round=4)}
         outputs, transcript, metrics = simulate(path(2), programs, 8)
         assert all(rec.transmitters == () for rec in transcript.records)
         assert metrics.total_transmissions == 0
         assert transcript.output_round == {0: 6, 1: 4}
 
     def test_an_action_that_raises_fails_the_run_at_its_node_and_round(self):
-        planned = Planned()
+        planned = Script(out_round=6)
         planned.at(2, lambda r: (1, 2)[r])
         with pytest.raises(ProtocolViolation) as err:
             simulate(path(2), {0: Script(), 1: planned}, 8)
@@ -278,3 +271,116 @@ class TestHistory:
         assert history_of(transcript, tree, target, tau) == brute_history(
             transcript, tree, target, tau
         )
+
+
+def _mutation_sweep():
+    """scripts/mutation_sweep.py as a module, for its trees and mutations."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "mutation_sweep.py"
+    spec = importlib.util.spec_from_file_location("mutation_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def both_engines(tree, labels, protocol):
+    """The run of fresh programs under simulate and under the polling loop:
+    (outputs as edges and places, transcript, metrics) or the failure."""
+    budget = default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
+    ends = []
+    for engine in (simulate, polling_simulate):
+        programs = programs_from_structured(labels, protocol)
+        try:
+            outputs, transcript, metrics = engine(tree, programs, budget)
+        except RunFailed as exc:
+            ends.append((type(exc), str(exc)))
+            continue
+        placed = {v: (t.n, t.edges, place) for v, (t, place) in outputs.items()}
+        ends.append((placed, transcript, metrics))
+    return ends
+
+
+class TestAgainstPollingLoop:
+    """simulate steps only agenda rounds; the polling loop in oracles.py
+    calls every node in every round.  Both must give the same run."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_TREES))
+    def test_parity_trees(self, name):
+        tree = PARITY_TREES[name]()
+        protocol = dispatch_protocol(tree)
+        labels, _ = structured_labels_for(tree, protocol)
+        event, polled = both_engines(tree, labels, protocol)
+        assert event == polled
+
+    @pytest.mark.parametrize("delta", [3, 4, 8, 16, 32, 64])
+    def test_random_tree_grid(self, delta):
+        for diameter in range(4, 11):
+            for seed in (1, 2):
+                tree = random_tree(delta, diameter, seed)
+                protocol = dispatch_protocol(tree)
+                labels, _ = structured_labels_for(tree, protocol)
+                event, polled = both_engines(tree, labels, protocol)
+                assert event == polled, (delta, diameter, seed)
+
+    def test_label_mutations(self):
+        sweep = _mutation_sweep()
+        ends = Counter()
+        for tree in sweep.TREES.values():
+            protocol = dispatch_protocol(tree)
+            labels, _ = structured_labels_for(tree, protocol)
+            cases = [
+                (v, i, new)
+                for v, lab in sorted(labels.items())
+                for i, bits in enumerate(lab.fields)
+                for new in sweep.mutations(bits)
+            ]
+            for v, i, new in cases[::5]:
+                lab = labels[v]
+                fields = lab.fields[:i] + (new,) + lab.fields[i + 1:]
+                mutated = {**labels, v: StructuredLabel(lab.kind, fields)}
+                try:
+                    event, polled = both_engines(tree, mutated, protocol)
+                except MalformedLabel:
+                    continue
+                assert event == polled, (v, i, new)
+                ends[event[0].__name__ if isinstance(event[0], type) else "output"] += 1
+        assert ends["RoundLimitExceeded"] and ends["ProtocolViolation"] and ends["output"]
+
+
+class Counted(NodeProgram):
+    """Passes a program through and records each round it is asked to decide
+    in with nothing on its agenda."""
+
+    def __init__(self, program, idle):
+        self.program = program
+        self.agenda = program.agenda
+        self.idle = idle
+        self.calls = 0
+
+    @property
+    def output(self):
+        return self.program.output
+
+    def decide(self, round_no):
+        self.calls += 1
+        if round_no not in self.agenda:
+            self.idle.append(round_no)
+        return self.program.decide(round_no)
+
+    def receive(self, round_no, message):
+        self.calls += 1
+        self.program.receive(round_no, message)
+
+
+@pytest.mark.parametrize("tree", [random_tree(64, 8, 1), PARITY_TREES["line"](), star(9)])
+def test_no_node_is_called_without_an_action_or_a_delivery(tree):
+    protocol = dispatch_protocol(tree)
+    labels, _ = structured_labels_for(tree, protocol)
+    idle = []
+    programs = {v: Counted(p, idle) for v, p in programs_from_structured(labels, protocol).items()}
+    _, transcript, _ = simulate(tree, programs, default_round_budget(tree.max_degree, tree.diameter))
+    assert idle == []
+    # Every call is a scheduled decide or a delivery, so calls stay far
+    # below nodes x rounds on a mostly silent run.
+    calls = sum(p.calls for p in programs.values())
+    if protocol == "main":
+        assert calls < tree.n * transcript.rounds() // 10

@@ -378,7 +378,8 @@ class TestCli:
         transcript.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert self.verify(files) == 1
-        assert f"transcript names nodes outside 0..{tree.n - 1}: [99]" in capsys.readouterr().out
+        where = "OUT" if bad.startswith("OUT") else "round 1"
+        assert capsys.readouterr().out == f"transcript differs from the replay at {where}\nverify: fail\n"
 
     def test_verify_checks_the_radio_model(self, tmp_path, capsys):
         # Node 3 never transmits, and node 0's other neighbors hear nothing.
@@ -388,7 +389,29 @@ class TestCli:
         transcript.write_text("\n".join(["R1 T:0 D:1<-0,2<-3"] + outs) + "\n")
         capsys.readouterr()
         assert self.verify(files) == 1
-        assert "deliveries break the radio model in rounds [1]" in capsys.readouterr().out
+        assert capsys.readouterr().out == "transcript differs from the replay at round 1\nverify: fail\n"
+
+    def test_verify_rejects_a_forged_transcript(self, tmp_path, capsys):
+        # Radio-model-valid, with the real labels and outputs: only a replay
+        # of the run tells it from the protocol's own transcript.
+        tree = random_tree(4, 4, 1)
+        files = self.record(tmp_path, tree)
+        forged = ["R1 T: D:"] + [f"OUT {v} 1" for v in range(tree.n)]
+        (tmp_path / "t.transcript").write_text("\n".join(forged) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == "transcript differs from the replay at round 1\nverify: fail\n"
+
+    def test_verify_of_an_empty_core_size_field_is_a_usage_error(self, tmp_path, capsys):
+        files = self.record(tmp_path, random_tree(8, 6, 1))
+        labels_file = tmp_path / "t.labels"
+        structured = labels_from_text(labels_file.read_text())
+        fields = structured[2].fields
+        structured[2] = StructuredLabel(structured[2].kind, fields[:10] + ("",) + fields[11:])
+        labels_file.write_text(labels_to_text(structured))
+        capsys.readouterr()
+        assert self.verify(files) == 2
+        assert "node 2: main-scheme core-size field is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("when", ["0", "late"])
     def test_verify_rejects_output_rounds_outside_the_run(self, tmp_path, capsys, when):
@@ -400,7 +423,7 @@ class TestCli:
         transcript.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert self.verify(files) == 1
-        assert f"output rounds outside 1..{rounds} for nodes [6]" in capsys.readouterr().out
+        assert capsys.readouterr().out == "transcript differs from the replay at OUT\nverify: fail\n"
 
     def test_parse_outputs_shares_identical_trees(self, tmp_path):
         files = self.record(tmp_path, path_tree(6))

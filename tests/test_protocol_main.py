@@ -37,21 +37,22 @@ def run_main(tree):
 
 
 class GossipOnly(NodeProgram):
-    """Wrapper driving a single gossip submachine with no other behavior."""
+    """Wrapper driving a single gossip submachine with no other behavior;
+    it speaks in its slots and outputs once the gossip window has passed."""
 
     def __init__(self, state):
+        super().__init__()
         self.state = state
         self.output = None
+        done = 1
+        if state is not None:
+            done = state.window_start + state.m * state.m + 1
+            for slot_round in range(state.window_start + state.my_id, done, state.m):
+                self.at(slot_round, state.decide)
+        self.at(done, self._finish)
 
-    def decide(self, round_no):
-        if self.state is None:
-            if self.output is None:
-                self.output = (Tree(1, []), 0)
-            return None
-        m2 = self.state.m * self.state.m
-        if round_no > m2 and self.output is None:
-            self.output = (Tree(1, []), 0)
-        return self.state.decide(round_no)
+    def _finish(self, round_no):
+        self.output = (Tree(1, []), 0)
 
     def receive(self, round_no, message):
         if self.state is not None and message is not None and message[0] == "gossip":
@@ -378,6 +379,7 @@ class TagRecorder(NodeProgram):
 
     def __init__(self, program, sent):
         self.program = program
+        self.agenda = program.agenda
         self.sent = sent
 
     @property
