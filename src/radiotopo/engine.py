@@ -52,15 +52,22 @@ class NodeProgram:
     fixed message, and a round already past never comes.  decide(round) is
     called only for a round on the agenda; the default runs its actions in
     the order they were added and sends the last message they returned.
+    A round entering the agenda for the first time is also appended to
+    new_rounds, which the simulator reads and empties after each call.
     """
 
     output: Optional[tuple[Tree, int]] = None
 
     def __init__(self):
         self.agenda: dict[int, list] = {}
+        self.new_rounds: list[int] = []
 
     def at(self, round_no: int, action) -> None:
-        self.agenda.setdefault(round_no, []).append(action)
+        actions = self.agenda.get(round_no)
+        if actions is None:
+            self.agenda[round_no] = actions = []
+            self.new_rounds.append(round_no)
+        actions.append(action)
 
     def send(self, round_no: int, message) -> None:
         self.at(round_no, lambda _round: message)
@@ -159,8 +166,9 @@ def simulate(
 
     Only rounds on some agenda are stepped, from a heap: decide is called on
     the nodes with an action due, in node order, and receive on each
-    delivery; after each call the node's later rounds join the heap.  The run
-    fails when no round within max_rounds is left and a node has no output.
+    delivery; after each call the later rounds in the node's new_rounds join
+    the heap and the list is emptied in place.  The run fails when no round
+    within max_rounds is left and a node has no output.
     """
     if set(programs) != set(range(tree.n)):
         raise ValueError("need exactly one program per node")
@@ -170,17 +178,18 @@ def simulate(
     due: dict[int, set[int]] = {}  # round -> nodes with an action in it
     heap: list[int] = []
 
-    def queue(v: int, after: int) -> None:
-        for round_no in programs[v].agenda:
+    def queue(v: int, new_rounds: list[int], after: int) -> None:
+        for round_no in new_rounds:
             if round_no > after:
                 nodes = due.get(round_no)
                 if nodes is None:
                     due[round_no] = nodes = set()
                     heapq.heappush(heap, round_no)
                 nodes.add(v)
+        new_rounds.clear()
 
     for v in range(tree.n):
-        queue(v, 0)
+        queue(v, programs[v].new_rounds, 0)
     transcript = Transcript()
     total_tx = 0
     pending = set(range(tree.n))
@@ -192,15 +201,19 @@ def simulate(
         # One handler for every program call of the round; v is the caller.
         try:
             for v in called:
-                msg = programs[v].decide(round_no)
+                program = programs[v]
+                msg = program.decide(round_no)
                 if msg is not None:
                     payloads[v] = msg
-                queue(v, round_no)
+                if program.new_rounds:
+                    queue(v, program.new_rounds, round_no)
             if payloads:
                 deliveries = deliveries_of(adjacency, payloads)
                 for v, w in deliveries:
-                    programs[v].receive(round_no, payloads[w])
-                    queue(v, round_no)
+                    program = programs[v]
+                    program.receive(round_no, payloads[w])
+                    if program.new_rounds:
+                        queue(v, program.new_rounds, round_no)
                 called.extend(v for v, _ in deliveries)
                 record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
         except RunFailed as exc:

@@ -142,16 +142,31 @@ def _line_checks(transcript: Transcript, line_labels: dict[int, protocol_line.Li
 
 
 def _structured(labels: dict) -> dict[int, StructuredLabel]:
-    return {v: lab.to_structured() for v, lab in labels.items()}
+    """Structured labels by node; equal labels share one structured label,
+    built once."""
+    memo: dict = {}
+    structured = {}
+    for v, lab in labels.items():
+        s = memo.get(lab)
+        if s is None:
+            s = memo[lab] = lab.to_structured()
+        structured[v] = s
+    return structured
 
 
 def _decoded(label_cls, structured: dict[int, StructuredLabel]) -> dict:
+    """Protocol labels by node, each distinct structured label decoded once;
+    a malformed one names the first node that holds it."""
+    memo: dict[StructuredLabel, object] = {}
     decoded = {}
     for v, s in structured.items():
-        try:
-            decoded[v] = label_cls.from_structured(s)
-        except MalformedLabel as exc:
-            raise MalformedLabel(f"node {v}: {exc}") from exc
+        lab = memo.get(s)
+        if lab is None:
+            try:
+                lab = memo[s] = label_cls.from_structured(s)
+            except MalformedLabel as exc:
+                raise MalformedLabel(f"node {v}: {exc}") from exc
+        decoded[v] = lab
     return decoded
 
 
@@ -312,7 +327,7 @@ def run_tree(
         seed=seed,
         protocol=proto,
         rounds=metrics.completion_round,
-        max_label_bits=scheme_length(encode(s) for s in structured.values()),
+        max_label_bits=scheme_length(encode(s) for s in set(structured.values())),
         node_valid=node_valid,
         checks=checks,
     )

@@ -120,21 +120,31 @@ def scheme_length(labels) -> int:
 
 
 def labels_to_text(labels: dict[int, StructuredLabel]) -> str:
+    """One line per node; each distinct label is encoded once."""
+    encoded: dict[StructuredLabel, str] = {}
     lines = []
     for node in sorted(labels):
         lab = labels[node]
-        lines.append(f"{node} {lab.kind.value} {encode(lab)}")
+        bits = encoded.get(lab)
+        if bits is None:
+            bits = encoded[lab] = encode(lab)
+        lines.append(f"{node} {lab.kind.value} {bits}")
     return "\n".join(lines) + "\n"
 
 
 def labels_from_text(text: str) -> dict[int, StructuredLabel]:
+    """Labels by node; each distinct bit string is decoded once, and nodes
+    with equal bits share one label object."""
+    decoded: dict[str, StructuredLabel] = {}
     out: dict[int, StructuredLabel] = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         node_s, kind_name, bits = ln.split()
-        label = decode(bits)
+        label = decoded.get(bits)
+        if label is None:
+            label = decoded[bits] = decode(bits)
         if label.kind.value != kind_name:
             raise MalformedLabel(f"kind mismatch on line {ln!r}")
         out[int(node_s)] = label

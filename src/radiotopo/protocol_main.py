@@ -33,12 +33,12 @@ from .scheme import (
     decode_shares,
     derive_params,
 )
-from .trees import RootedTree, Tree, TreeError, root_at
+from .trees import RootedTree, Tree, TreeError, root_at, with_form
 
 
 def rooted_form(tree: Tree) -> str:
     """Canonical form of a tree under its id-0 root (message convention)."""
-    return root_at(tree, 0).form(0)
+    return tree.form
 
 
 class GossipState:
@@ -95,7 +95,8 @@ def gossip_subtree(
 
 
 def attach_subtrees(parts: list[Tree]) -> Tree:
-    """New root 0 with the given trees (all rooted at their id 0) below it."""
+    """New root 0 with the given trees (all rooted at their id 0) below it;
+    its form is joined from theirs."""
     n = 1 + sum(p.n for p in parts)
     edges = []
     offset = 1
@@ -103,7 +104,7 @@ def attach_subtrees(parts: list[Tree]) -> Tree:
         edges.append((0, offset))
         edges.extend((offset + a, offset + b) for a, b in p.edges)
         offset += p.n
-    return Tree(n, edges)
+    return with_form(Tree(n, edges), "0" + "".join(sorted(p.form for p in parts)) + "1")
 
 
 def aggregate_children(received: list[tuple[MainLabel, Tree, int]], max_children: int) -> Tree:
@@ -214,6 +215,8 @@ class MainProgram(NodeProgram):
     def _learn_height(self, height: int, round_no: int) -> None:
         if self.height is not None:
             return
+        if self.level is not None and height < self.level:
+            raise ProtocolViolation(f"learned height {height} below its own level {self.level}")
         self.height = height
         self.round_height = round_no
         e = self.params.block_len
@@ -224,8 +227,7 @@ class MainProgram(NodeProgram):
         lo = self.windows["collect"][0]
         if self.level is not None and self.level >= 1 and self.tr_transmits:
             epoch = lo + (height - self.level) * 2 * e
-            if epoch >= 1:  # a level below a contradicting height may put it before round 1
-                self.at(max(epoch, round_no + 1), lambda now: self._send_subtree(epoch, now))
+            self.at(max(epoch, round_no + 1), lambda now: self._send_subtree(epoch, now))
         if self.level is not None and self.level < height:
             start = lo + (height - self.level - 1) * 2 * e
             self.child_epoch = (start, start + 2 * e - 1)
@@ -318,6 +320,8 @@ class MainProgram(NodeProgram):
             if self.level is None:
                 self._learn_delta(message[1], round_no)
                 self.level = round_no - self.windows["parameter"][0] + 1
+                if self.level < 1:
+                    raise ProtocolViolation("heard the level wave before its parameter window")
                 self.round_level = round_no
                 if self.label.marker(MARK_DEEP_LEAF):
                     self._learn_height(self.level, round_no)

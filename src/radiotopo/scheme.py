@@ -16,6 +16,7 @@ that, at protocol time, each group can reassemble its integer by gossip:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .engine import MissingChunk
@@ -100,7 +101,10 @@ class SchemeParams:
     block_len: int  # E: half-epoch length; an epoch is 2*block_len rounds
 
 
+@lru_cache(maxsize=64)
 def derive_params(delta: int) -> SchemeParams:
+    """The scheme's constants for maximum degree delta.  They depend on delta
+    alone, so equal degrees share one SchemeParams and one catalog."""
     if delta < 3:
         raise UnsupportedShape("scheme needs maximum degree >= 3")
     m = -(-delta.bit_length() // 4)

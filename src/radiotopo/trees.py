@@ -96,6 +96,18 @@ class Tree:
         d1 = self.distances_from(far)
         return max(d1)
 
+    @cached_property
+    def form(self) -> str:
+        """Canonical form under the id-0 root, computed once per tree; code
+        that builds a tree of a shape it already knows sets it (with_form)."""
+        return root_at(self, 0).form(0)
+
+
+def with_form(tree: Tree, form: str) -> Tree:
+    """The tree, its form set to the given canonical form under root 0."""
+    tree.__dict__["form"] = form
+    return tree
+
 
 @dataclass(frozen=True)
 class CenterResult:
@@ -174,7 +186,7 @@ class RootedTree:
         nodes = self.subtree_nodes(v)
         index = {u: i for i, u in enumerate(nodes)}
         edges = [(index[u], index[c]) for u in nodes for c in self.children[u]]
-        return Tree(len(nodes), edges)
+        return with_form(Tree(len(nodes), edges), self.form(v))
 
 
 def root_at(tree: Tree, root: int) -> RootedTree:
@@ -312,7 +324,8 @@ class ShapeCatalog:
 
     @cached_property
     def trees(self) -> tuple[Tree, ...]:
-        return tuple(parse_form(f) for f in self.forms)
+        # Catalog forms are canonical, so each is its tree's form.
+        return tuple(with_form(parse_form(f), f) for f in self.forms)
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -232,6 +232,30 @@ class TestAgenda:
         assert str(err.value) == "node 1, round 2: IndexError('tuple index out of range')"
         assert isinstance(err.value.__cause__, IndexError)
 
+    def test_rounds_added_by_receive_and_by_an_action_are_called_exactly(self):
+        class Chained(Script):
+            """A delivery plans a step three rounds on, which plans a send
+            three rounds after itself."""
+
+            def __init__(self):
+                super().__init__(out_round=20)
+                self.called = []
+
+            def decide(self, round_no):
+                self.called.append(round_no)
+                return super().decide(round_no)
+
+            def receive(self, round_no, message):
+                super().receive(round_no, message)
+                self.at(round_no + 3, lambda r: self.at(r + 3, lambda _r: "pong"))
+
+        chained = Chained()
+        programs = {0: Script({2: "ping"}, out_round=20), 1: chained}
+        simulate(path(2), programs, 22)
+        assert chained.called == [5, 8, 20]
+        assert programs[0].heard == {8: "pong"}
+        assert chained.new_rounds == []
+
 
 class TestHistory:
     def test_tau_zero_is_target_alone(self):
@@ -353,6 +377,7 @@ class Counted(NodeProgram):
     def __init__(self, program, idle):
         self.program = program
         self.agenda = program.agenda
+        self.new_rounds = program.new_rounds
         self.idle = idle
         self.calls = 0
 

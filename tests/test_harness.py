@@ -1,7 +1,9 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from radiotopo import harness
 from radiotopo.cli import _parse_outputs
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import RoundRecord
@@ -11,6 +13,7 @@ from radiotopo.harness import (
     PROTOCOLS,
     check_run,
     check_tr_delivery,
+    config_runs,
     dispatch_protocol,
     parse_config,
     pigeonhole_certificate,
@@ -24,6 +27,7 @@ from radiotopo.harness import (
 from radiotopo.labels import LabelKind, StructuredLabel, encode, labels_from_text, labels_to_text
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
+from radiotopo.scheme import MainLabel, label_tree
 from radiotopo.trees import Tree, tree_to_text
 
 
@@ -236,6 +240,39 @@ class TestBatch:
         csv_text, ok = run_experiment("family=lines\nfamily=stars\ndelta=6\ndiameter=5\n")
         assert ok
         assert "line" in csv_text and "star" in csv_text
+
+    def test_each_distinct_main_label_is_built_decoded_and_encoded_once(self, monkeypatch):
+        # The sweep grid with seeds 17..32: its 7,244 main-protocol nodes
+        # carry 2,980 distinct labels, counted per run.
+        sweep = (
+            "family=random\nfamily=sticks\ndelta=3,4,8,16\ndiameter=4,6,8\n"
+            "seeds=17..32\nfamily=lines\nfamily=stars\n"
+        )
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(label):
+                if name != "encode" or label.kind is LabelKind.MAIN_SCHEME:
+                    calls[name] += 1
+                return fn(label)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            MainLabel, "to_structured", counted("to_structured", MainLabel.to_structured)
+        )
+        monkeypatch.setattr(
+            MainLabel,
+            "from_structured",
+            staticmethod(counted("from_structured", MainLabel.from_structured)),
+        )
+        monkeypatch.setattr(harness, "encode", counted("encode", harness.encode))
+        _, ok = run_experiment(sweep)
+        assert ok
+        trees = [t for _, t, _, _ in config_runs(parse_config(sweep)) if dispatch_protocol(t) == "main"]
+        distinct = sum(len(set(label_tree(t).labels.values())) for t in trees)
+        assert (sum(t.n for t in trees), distinct) == (7244, 2980)
+        assert calls == {"to_structured": distinct, "from_structured": distinct, "encode": distinct}
 
 
 class TestCli:

@@ -72,8 +72,8 @@ class TestLabeling:
 
     def test_constant_length(self):
         for k in (1, 2, 5, 100, 1 << 12, 1 << 20):
-            labels = label_line(path_tree(k))
-            assert max(len(encode(lab.to_structured())) for lab in labels.values()) <= 24
+            labels = set(label_line(path_tree(k)).values())
+            assert max(len(encode(lab.to_structured())) for lab in labels) <= 24
 
     def test_structured_round_trip(self):
         for k in (2, 30):

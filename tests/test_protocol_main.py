@@ -17,7 +17,7 @@ from radiotopo.protocol_main import (
 )
 from radiotopo.labels import StructuredLabel
 from radiotopo.scheme import MainLabel, derive_params, label_tree
-from radiotopo.trees import Tree, core_subtree, root_at
+from radiotopo.trees import Tree, core_subtree, enumerate_rooted_trees, root_at
 
 
 def path(n):
@@ -163,6 +163,19 @@ class TestAggregation:
         got = attach_subtrees([Tree(1, []), path(2)])
         assert got.n == 4 and (0, 1) in got.edges and (0, 2) in got.edges
 
+    def test_joined_forms_match_rerooting(self):
+        # Parts are catalog shapes, random trees and earlier joins; a join
+        # sets its form from the parts' without rooting the new tree.
+        rng = SplitMix(5)
+        pool = list(enumerate_rooted_trees(5).trees)
+        pool += [random_tree(delta, 4, seed) for delta, seed in ((3, 1), (4, 2), (6, 3))]
+        for _ in range(60):
+            parts = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 4))]
+            joined = attach_subtrees(parts)
+            assert joined.__dict__["form"] == root_at(joined, 0).form(0)
+            if joined.n <= 200:
+                pool.append(joined)
+
 
 class TestGossipSubtree:
     def test_matches_extracted_subtree_on_random_cores(self):
@@ -236,6 +249,23 @@ class TestDecodeShares:
         fields[field] = value
         labels[node] = StructuredLabel(labels[node].kind, tuple(fields))
         with pytest.raises(ProtocolViolation):
+            run_tree(tree, preset_labels=labels)
+
+    @pytest.mark.parametrize(
+        "node, core_size, reason",
+        [
+            # m = 100 puts node 0's parameter window long after the wave.
+            (0, "1100100", "heard the level wave before its parameter window"),
+            # m = 1 makes node 23 count its level from too early a window.
+            (23, "1", "learned height 3 below its own level 4"),
+        ],
+    )
+    def test_contradicting_level_fails_where_it_shows(self, node, core_size, reason):
+        tree = random_tree(16, 6, 2)
+        labels = dict(run_tree(tree).structured)
+        lab = labels[node]
+        labels[node] = StructuredLabel(lab.kind, lab.fields[:10] + (core_size,))
+        with pytest.raises(ProtocolViolation, match=rf"^node {node}, round \d+: {reason}$"):
             run_tree(tree, preset_labels=labels)
 
 
@@ -380,6 +410,7 @@ class TagRecorder(NodeProgram):
     def __init__(self, program, sent):
         self.program = program
         self.agenda = program.agenda
+        self.new_rounds = program.new_rounds
         self.sent = sent
 
     @property

@@ -80,6 +80,11 @@ class TestDeriveParams:
         with pytest.raises(UnsupportedShape):
             derive_params(2)
 
+    def test_equal_degrees_share_one_params_object(self):
+        p = derive_params(1 << 12)
+        assert derive_params(4096) is p
+        assert p.catalog.trees is derive_params(4096).catalog.trees
+
 
 class TestChooseRoot:
     def test_even_diameter_center(self):
