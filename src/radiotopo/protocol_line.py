@@ -14,7 +14,6 @@ Node types: 0 boundary/terminator, 1 starter, 2 bit carrier, 3 plain relay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .engine import NodeProgram
@@ -23,9 +22,7 @@ from .scheme import bits_of
 from .trees import Tree, root_at
 
 
-@lru_cache(maxsize=1024)
 def path_tree(k: int) -> Tree:
-    # Shared per length: every node of a run outputs the same object.
     return Tree(k + 1, [(i, i + 1) for i in range(k)])
 
 
@@ -112,12 +109,13 @@ def label_line(tree: Tree) -> dict[int, LineLabel]:
         seg_bits = bits_of(j, width=width)
         for i in range(1, width + 1):
             put(j * stride + 1 + i, 2, k_bits[i - 1], seg_bits[i - 1])
+    distinct: dict[tuple, LineLabel] = {}  # a handful of values: build each once
     labels = {}
     for pos, node in enumerate(order, start=1):
-        node_type, kb, sb = type_of.get(pos, (3, "0", "0"))
-        labels[node] = LineLabel(
-            kind=LabelKind.LINE, node_type=node_type, k_bit=kb, seg_bit=sb, pos_mod3=pos % 3
-        )
+        key = type_of.get(pos, (3, "0", "0")) + (pos % 3,)  # node_type, k_bit, seg_bit, pos_mod3
+        if key not in distinct:
+            distinct[key] = LineLabel(LabelKind.LINE, *key)
+        labels[node] = distinct[key]
     return labels
 
 
@@ -141,9 +139,13 @@ def boundary_tx_round(segment: int, stride: int) -> int:
 
 
 class LineProgram(NodeProgram):
-    def __init__(self, label: LineLabel):
+    """One node of a line run; trees, shared by the run's nodes, holds its
+    output tree per decoded length."""
+
+    def __init__(self, label: LineLabel, trees: dict[int, Tree]):
         super().__init__()
         self.label = label
+        self.trees = trees
         self.first_rx: Optional[int] = None  # forward-probe arrival round
         self.resolved = False
         self.output = None
@@ -153,7 +155,9 @@ class LineProgram(NodeProgram):
             self.send(first_dedicated(label.pos_mod3), ("probe", "", ""))
 
     def _place(self, k: int, pos: int) -> None:
-        self.output = (path_tree(k), pos - 1)
+        if k not in self.trees:
+            self.trees[k] = path_tree(k)
+        self.output = (self.trees[k], pos - 1)
 
     def receive(self, round_no: int, message) -> None:
         lab = self.label
@@ -205,4 +209,5 @@ class LineProgram(NodeProgram):
 
 
 def line_programs(labels: dict[int, LineLabel]) -> dict[int, NodeProgram]:
-    return {node: LineProgram(lab) for node, lab in labels.items()}
+    trees: dict[int, Tree] = {}
+    return {node: LineProgram(lab, trees) for node, lab in labels.items()}

@@ -20,7 +20,7 @@ before it needs them.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import MissingChunk, NodeProgram, ProtocolViolation
 from .scheme import (
@@ -33,12 +33,21 @@ from .scheme import (
     decode_shares,
     derive_params,
 )
-from .trees import RootedTree, Tree, TreeError, root_at, with_form
+from .trees import RootedTree, Tree, TreeError, parse_form, root_at
 
 
-def rooted_form(tree: Tree) -> str:
-    """Canonical form of a tree under its id-0 root (message convention)."""
-    return tree.form
+class Subtree(NamedTuple):
+    """A rooted subtree as the collection sends it: layout lists each node's
+    children in attachment order, so parse_form(layout) numbers the nodes as
+    the joins placed them; form is the canonical form."""
+
+    layout: str
+    form: str
+
+
+def rooted_form(subtree: Subtree) -> str:
+    """Canonical form of a subtree (message convention)."""
+    return subtree.form
 
 
 class GossipState:
@@ -81,9 +90,9 @@ class GossipState:
 
 def gossip_subtree(
     labels: dict[int, MainLabel], edges: set[tuple[int, int]], my_gid: int
-) -> Tree:
+) -> Subtree:
     """Subtree of the gossiped group hanging at member my_gid, with the group
-    rooted at id 1, relabeled in BFS order with root 0."""
+    rooted at id 1; its layout is its canonical form."""
     ids = sorted(labels)
     if ids != list(range(1, len(ids) + 1)):
         raise ProtocolViolation(f"gossip ids not contiguous: {ids}")
@@ -91,23 +100,21 @@ def gossip_subtree(
         group = Tree(len(ids), [(a - 1, b - 1) for a, b in edges])
     except TreeError as exc:
         raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from exc
-    return root_at(group, 0).extract_subtree(my_gid - 1)
+    form = root_at(group, 0).form(my_gid - 1)
+    return Subtree(form, form)
 
 
-def attach_subtrees(parts: list[Tree]) -> Tree:
-    """New root 0 with the given trees (all rooted at their id 0) below it;
-    its form is joined from theirs."""
-    n = 1 + sum(p.n for p in parts)
-    edges = []
-    offset = 1
-    for p in parts:
-        edges.append((0, offset))
-        edges.extend((offset + a, offset + b) for a, b in p.edges)
-        offset += p.n
-    return with_form(Tree(n, edges), "0" + "".join(sorted(p.form for p in parts)) + "1")
+def attach_subtrees(parts: list[Subtree]) -> Subtree:
+    """A new root with the given subtrees below it, in order."""
+    return Subtree(
+        "0" + "".join(p.layout for p in parts) + "1",
+        "0" + "".join(sorted(p.form for p in parts)) + "1",
+    )
 
 
-def aggregate_children(received: list[tuple[MainLabel, Tree, int]], max_children: int) -> Tree:
+def aggregate_children(
+    received: list[tuple[MainLabel, Subtree, int]], max_children: int
+) -> Subtree:
     """Rebuild a node's subtree from one epoch of children messages.
 
     Heavy children sent their own subtrees, attached verbatim.  Same-shape
@@ -115,25 +122,23 @@ def aggregate_children(received: list[tuple[MainLabel, Tree, int]], max_children
     that many copies of the shape are attached; counts that spell more than
     max_children children in all fail the run before any copy is made.
     """
-    heavy_parts: list[Tree] = []
-    light_groups: dict[str, tuple[Tree, dict[int, str]]] = {}
-    for label, tree, _count in received:
+    parts: list[Subtree] = []
+    light_groups: dict[str, tuple[Subtree, dict[int, str]]] = {}
+    for label, part, _count in received:
         if label.marker(MARK_HEAVY):
-            heavy_parts.append(tree)
+            parts.append(part)
             continue
         if label.count_share is None:
             raise ProtocolViolation("light child transmitted without a count share")
-        form = rooted_form(tree)
-        entry = light_groups.setdefault(form, (tree, {}))
+        entry = light_groups.setdefault(part.form, (part, {}))
         idx, piece = label.count_share
         entry[1][idx] = piece
-    parts = list(heavy_parts)
     for form in sorted(light_groups):
-        tree, chunks = light_groups[form]
+        part, chunks = light_groups[form]
         count = decode_shares(list(chunks.items()))
         if len(parts) + count > max_children:
             raise ProtocolViolation(f"count shares spell more than {max_children} children")
-        parts.extend([tree] * count)
+        parts.extend([part] * count)
     return attach_subtrees(parts)
 
 
@@ -181,7 +186,7 @@ class MainProgram(NodeProgram):
         self.height: Optional[int] = None
         self.slot: Optional[int] = None
         self.shape_index: Optional[int] = None
-        self.my_subtree: Optional[Tree] = None
+        self.my_subtree: Optional[Subtree] = None
 
         # Verification probes; never read by the protocol itself.
         self.round_delta: Optional[int] = None
@@ -193,7 +198,7 @@ class MainProgram(NodeProgram):
         self._join("core", label.degree_share, 0)
         if self.is_root:  # after the core decode, which lands in the same round
             self.at(self.windows["parameter"][0], self._start_level_wave)
-        self.tr_received: list[tuple[MainLabel, Tree, int]] = []
+        self.tr_received: list[tuple[MainLabel, Subtree, int]] = []
         self.flood_seen = False
         self.tr_transmits = label.marker(MARK_HEAVY) or label.count_share is not None
         self.child_epoch = (0, -1)  # inclusive round window of children's epoch
@@ -296,18 +301,22 @@ class MainProgram(NodeProgram):
             tx_round = epoch_start - 1 + self.slot
             message = ("subtree", lab, self.my_subtree, self.slot)
         else:
-            shape = self.params.catalog.tree_at(self.shape_index)
+            forms = self.params.catalog.forms
+            if not 1 <= self.shape_index <= len(forms):
+                raise ProtocolViolation(f"shape index {self.shape_index} outside the catalog")
+            shape = forms[self.shape_index - 1]
             offset = e + (self.shape_index - 1) * self.m + lab.count_share[0]
             tx_round = epoch_start - 1 + offset
-            message = ("subtree", lab, shape, 0)
+            message = ("subtree", lab, Subtree(shape, shape), 0)
         if tx_round == round_no:
             return message
         self.send(tx_round, message)
 
     def _assemble(self, round_no: int) -> tuple:
         self.my_subtree = aggregate_children(self.tr_received, self.delta)
-        self.output = (self.my_subtree, 0)
-        return ("assemble", root_at(self.my_subtree, 0), 0)
+        tree = parse_form(self.my_subtree.layout)
+        self.output = (tree, 0)
+        return ("assemble", root_at(tree, 0), 0)
 
     def receive(self, round_no: int, message) -> None:
         tag = message[0]
@@ -356,7 +365,7 @@ class MainProgram(NodeProgram):
             if self.my_subtree is None:
                 raise ProtocolViolation("assembly reached a node with no computed subtree")
             _, rt, parent_place = message
-            place = child_place(rt, parent_place, rooted_form(self.my_subtree))
+            place = child_place(rt, parent_place, self.my_subtree.form)
             self.output = (rt.tree, place)
             if self.level < self.height:
                 self.send(round_no + 1, ("assemble", rt, place))

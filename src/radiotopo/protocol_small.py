@@ -10,7 +10,6 @@ place of its leaves, and every leaf adopts that pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .engine import NodeProgram
@@ -26,9 +25,7 @@ def chunk_len(delta: int) -> int:
     return max(1, (delta.bit_length() - 1).bit_length() - 1)
 
 
-@lru_cache(maxsize=1024)
 def star_tree(k: int) -> Tree:
-    # Shared per size: every node of a run outputs the same object.
     return Tree(k + 1, [(0, i) for i in range(1, k + 1)])
 
 

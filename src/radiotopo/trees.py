@@ -96,18 +96,6 @@ class Tree:
         d1 = self.distances_from(far)
         return max(d1)
 
-    @cached_property
-    def form(self) -> str:
-        """Canonical form under the id-0 root, computed once per tree; code
-        that builds a tree of a shape it already knows sets it (with_form)."""
-        return root_at(self, 0).form(0)
-
-
-def with_form(tree: Tree, form: str) -> Tree:
-    """The tree, its form set to the given canonical form under root 0."""
-    tree.__dict__["form"] = form
-    return tree
-
 
 @dataclass(frozen=True)
 class CenterResult:
@@ -186,7 +174,7 @@ class RootedTree:
         nodes = self.subtree_nodes(v)
         index = {u: i for i, u in enumerate(nodes)}
         edges = [(index[u], index[c]) for u in nodes for c in self.children[u]]
-        return with_form(Tree(len(nodes), edges), self.form(v))
+        return Tree(len(nodes), edges)
 
 
 def root_at(tree: Tree, root: int) -> RootedTree:
@@ -287,7 +275,8 @@ def core_subtree(rt: RootedTree, v: int, m: int) -> list[int]:
 
 
 def parse_form(form: str) -> Tree:
-    """Rebuild a tree (root 0, preorder ids) from its canonical form."""
+    """Rebuild a tree from a parenthesis string, such as a canonical form:
+    root 0, then the nodes in preorder, children in the string's order."""
     if not form or len(form) % 2:
         raise TreeError(f"bad canonical form {form!r}")
     stack: list[int] = []
@@ -323,11 +312,6 @@ class ShapeCatalog:
     forms: tuple[str, ...]
 
     @cached_property
-    def trees(self) -> tuple[Tree, ...]:
-        # Catalog forms are canonical, so each is its tree's form.
-        return tuple(with_form(parse_form(f), f) for f in self.forms)
-
-    @cached_property
     def _index(self) -> dict[str, int]:
         return {f: i + 1 for i, f in enumerate(self.forms)}
 
@@ -339,9 +323,6 @@ class ShapeCatalog:
         if got is None:
             raise NotInCatalog(form)
         return got
-
-    def tree_at(self, index: int) -> Tree:
-        return self.trees[index - 1]
 
 
 def _forms_of_size(size: int, smaller: list[list[str]]) -> list[str]:

@@ -75,6 +75,11 @@ class TestLabeling:
             labels = set(label_line(path_tree(k)).values())
             assert max(len(encode(lab.to_structured())) for lab in labels) <= 24
 
+    def test_equal_labels_are_one_object(self):
+        # A long line has a handful of distinct labels, each built once.
+        labels = label_line(path_tree(1 << 12)).values()
+        assert len({id(lab) for lab in labels}) == len(set(labels))
+
     def test_structured_round_trip(self):
         for k in (2, 30):
             for lab in label_line(path_tree(k)).values():
@@ -114,6 +119,16 @@ class TestProtocol:
             assert all(outputs[node][1] == node for node in range(k + 1))
             assert metrics.completion_round <= 12 * stride_for(k)
             assert check_mod3(transcript, labels) == []
+
+    def test_each_run_builds_its_own_output_tree(self):
+        # A run's nodes share one tree, so checking the outputs stays linear;
+        # no tree outlives its run.
+        for k in (3, 40):
+            first, second = run_line(k)[1], run_line(k)[1]  # both alive: ids stay unique
+            first_ids = {id(tree) for tree, _ in first.values()}
+            second_ids = {id(tree) for tree, _ in second.values()}
+            assert len(first_ids) == len(second_ids) == 1
+            assert first_ids.isdisjoint(second_ids)
 
     def test_single_residue_per_round(self):
         labels, outputs, transcript, _ = run_line(50)

@@ -6,6 +6,7 @@ from radiotopo.harness import check_run, check_tr_delivery, run_tree
 from radiotopo.protocol_main import (
     GossipState,
     ProtocolViolation,
+    Subtree,
     aggregate_children,
     attach_subtrees,
     child_place,
@@ -17,7 +18,7 @@ from radiotopo.protocol_main import (
 )
 from radiotopo.labels import StructuredLabel
 from radiotopo.scheme import MainLabel, derive_params, label_tree
-from radiotopo.trees import Tree, core_subtree, enumerate_rooted_trees, root_at
+from radiotopo.trees import Tree, core_subtree, enumerate_rooted_trees, parse_form, root_at
 
 
 def path(n):
@@ -125,11 +126,11 @@ class TestRoundRobin:
 
 class TestAggregation:
     def test_no_messages_gives_single_node(self):
-        assert aggregate_children([], 16).n == 1
+        assert aggregate_children([], 16) == Subtree("01", "01")
 
     def test_three_same_shape_light_children(self):
         # Group size 3 rides on one carrier chunk "11".
-        leaf = Tree(1, [])
+        leaf = Subtree("01", "01")
         label = MainLabel(
             markers=(0, 0, 0, 0, 1, 0, 1),
             degree_share=None,
@@ -140,12 +141,13 @@ class TestAggregation:
             core_size_bits="10",
         )
         got = aggregate_children([(label, leaf, 0)], 16)
-        assert got.n == 4 and got.degree(0) == 3
+        assert got == Subtree("00101011", "00101011")
         with pytest.raises(ProtocolViolation, match="more than 2 children"):
             aggregate_children([(label, leaf, 0)], 2)
 
     def test_heavy_child_attached_verbatim(self):
-        five_chain = path(5)
+        # A leaf before a two-node chain: the layout keeps that order.
+        part = Subtree("00100111", "00011011")
         label = MainLabel(
             markers=(0, 0, 0, 1, 0, 0, 0),
             degree_share=None,
@@ -155,26 +157,46 @@ class TestAggregation:
             count_share=None,
             core_size_bits="10",
         )
-        got = aggregate_children([(label, five_chain, 2)], 16)
-        assert got.n == 6
-        assert rooted_form(got) == rooted_form(path(6))
+        got = aggregate_children([(label, part, 2)], 16)
+        assert got == Subtree("0" + part.layout + "1", "0" + part.form + "1")
 
     def test_attach_subtrees_offsets(self):
-        got = attach_subtrees([Tree(1, []), path(2)])
+        got = parse_form(attach_subtrees([Subtree("01", "01"), Subtree("0011", "0011")]).layout)
         assert got.n == 4 and (0, 1) in got.edges and (0, 2) in got.edges
 
-    def test_joined_forms_match_rerooting(self):
-        # Parts are catalog shapes, random trees and earlier joins; a join
-        # sets its form from the parts' without rooting the new tree.
-        rng = SplitMix(5)
-        pool = list(enumerate_rooted_trees(5).trees)
-        pool += [random_tree(delta, 4, seed) for delta, seed in ((3, 1), (4, 2), (6, 3))]
-        for _ in range(60):
+    @staticmethod
+    def random_joins(seed, rounds):
+        """Part lists drawn from catalog shapes, random trees and earlier joins."""
+        rng = SplitMix(seed)
+        pool = [Subtree(f, f) for f in enumerate_rooted_trees(5).forms]
+        for delta, tree_seed in ((3, 1), (4, 2), (6, 3)):
+            f = root_at(random_tree(delta, 4, tree_seed), 0).form(0)
+            pool.append(Subtree(f, f))
+        for _ in range(rounds):
             parts = [pool[rng.randint(0, len(pool) - 1)] for _ in range(rng.randint(0, 4))]
             joined = attach_subtrees(parts)
-            assert joined.__dict__["form"] == root_at(joined, 0).form(0)
-            if joined.n <= 200:
+            yield parts, joined
+            if len(joined.layout) <= 400:
                 pool.append(joined)
+
+    def test_joined_forms_match_rerooting(self):
+        # A join builds its form from the parts' without rooting any tree.
+        for _, joined in self.random_joins(5, 60):
+            assert root_at(parse_form(joined.layout), 0).form(0) == joined.form
+
+    def test_layout_numbers_each_part_as_one_block_after_the_root(self):
+        # Part i's root is node 1 plus the sizes of the parts before it, and
+        # its block holds exactly its own subtree.
+        for parts, joined in self.random_joins(7, 60):
+            rt = root_at(parse_form(joined.layout), 0)
+            offset = 1
+            for p in parts:
+                size = len(p.layout) // 2
+                assert rt.parent[offset] == 0
+                assert sorted(rt.subtree_nodes(offset)) == list(range(offset, offset + size))
+                assert rt.form(offset) == p.form
+                offset += size
+            assert offset == rt.tree.n and rt.form(0) == joined.form
 
 
 class TestGossipSubtree:
@@ -199,7 +221,8 @@ class TestGossipSubtree:
                 if u in ids and w in ids
             }
             for member, gid in ids.items():
-                assert gossip_subtree(labels, edges, gid) == rt.extract_subtree(member)
+                form = rt.form(member)
+                assert gossip_subtree(labels, edges, gid) == Subtree(form, form)
 
     @pytest.mark.parametrize(
         "ids, edges",
@@ -268,6 +291,19 @@ class TestDecodeShares:
         with pytest.raises(ProtocolViolation, match=rf"^node {node}, round \d+: {reason}$"):
             run_tree(tree, preset_labels=labels)
 
+    def test_shape_index_outside_the_catalog_fails_the_run(self):
+        # Node 8's shape chunk "0" makes its group decode shape index 0.
+        tree = random_tree(256, 6, 1)
+        labels = dict(run_tree(tree).structured)
+        fields = list(labels[8].fields)
+        assert fields[7] == "1"
+        fields[7] = "0"
+        labels[8] = StructuredLabel(labels[8].kind, tuple(fields))
+        with pytest.raises(
+            ProtocolViolation, match=r"^node 8, round \d+: shape index 0 outside the catalog$"
+        ):
+            run_tree(tree, preset_labels=labels)
+
 
 class TestChildPlace:
     def test_first_matching_child_wins(self):
@@ -318,7 +354,7 @@ class TestEndToEnd:
             tree = random_tree(delta, diameter, seed)
             lb, programs, outputs, _, _ = run_main(tree)
             root_tree, root_place = outputs[lb.truth.root]
-            assert rooted_form(root_tree) == rooted_form(lb.rooted.extract_subtree(lb.truth.root))
+            assert root_at(root_tree, 0).form(0) == lb.rooted.form(lb.truth.root)
             assert root_place == 0
 
     def test_outputs_share_one_tree_object(self):
@@ -369,9 +405,9 @@ class TestEndToEnd:
             for v in lb.truth.heavy:
                 prog = programs[v]
                 assert prog.my_subtree is not None
-                assert rooted_form(prog.my_subtree) == rooted_form(
-                    lb.rooted.extract_subtree(v)
-                )
+                assert rooted_form(prog.my_subtree) == lb.rooted.form(v)
+                layout_tree = parse_form(prog.my_subtree.layout)
+                assert root_at(layout_tree, 0).form(0) == lb.rooted.form(v)
 
     def test_completion_bound_over_grid(self):
         for delta in (3, 6, 16, 64):

@@ -160,17 +160,13 @@ class TestCanonicalForms:
                 same_form = root_at(t1, r1).form(r1) == root_at(t2, r2).form(r2)
                 assert same_form == brute_rooted_isomorphic(t1, r1, t2, r2)
 
-    def test_tree_form_is_the_form_under_root_0(self):
-        tree = Tree(4, [(0, 3), (3, 1), (3, 2)])
-        assert tree.form == root_at(tree, 0).form(0) == "00010111"
-
     @settings(max_examples=40, deadline=None)
     @given(random_trees(), st.data())
     def test_extracted_subtrees_carry_their_forms(self, tree, data):
         rt = root_at(tree, data.draw(st.integers(0, tree.n - 1)))
         for v in range(tree.n):
             sub = rt.extract_subtree(v)
-            assert sub.__dict__["form"] == rt.form(v) == root_at(sub, 0).form(0)
+            assert root_at(sub, 0).form(0) == rt.form(v)
 
 
 class TestPlacement:
@@ -391,10 +387,8 @@ class TestShapeCatalog:
         assert len(set(a.forms)) == len(a.forms)
 
     def test_forms_parse_back(self):
-        # Each catalog tree also carries its form, set without rooting it.
-        cat = enumerate_rooted_trees(6)
-        for form, tree in zip(cat.forms, cat.trees):
-            assert tree.__dict__["form"] == form == root_at(tree, 0).form(0)
+        for f in enumerate_rooted_trees(6).forms:
+            assert root_at(parse_form(f), 0).form(0) == f
 
     def test_empty_catalog(self):
         assert len(enumerate_rooted_trees(0)) == 0
