@@ -7,14 +7,18 @@ Usage: python scripts/mutation_sweep.py
 Each tree is labeled by its own protocol; then, one at a time, one field of
 one node's label is replaced (emptied, a bit flipped at either end, its last
 bit dropped, a 0 or a 1 appended, every bit set) and the tree is run with
-those labels.  A run may end as a valid run, an invalid run (outputs that
-do not place the nodes), a failed run (RunFailed, exit 1 on the command
-line) or a malformed label (MalformedLabel, exit 2).  Any other exception
-is counted by type: a ValueError is a run-time fault the command line would
-report as bad usage (exit 2), anything else a traceback.  Exits nonzero if
-any run ends in one of those.
+those labels.  The degree-share chunk of a main-scheme label (field 2) is
+also set to k ones for each k in WIDE_DEGREE, a degree far too large for
+the label's core size.  A run may end as a valid run, an invalid run
+(outputs that do not place the nodes), a failed run (RunFailed, exit 1 on
+the command line) or a malformed label (MalformedLabel, exit 2).  Any other
+exception is counted by type: a ValueError is a run-time fault the command
+line would report as bad usage (exit 2), anything else a traceback.  A run
+still going after RUN_LIMIT_S seconds is stopped and counted as over the
+limit.  Exits nonzero if any run ends in one of those.
 """
 
+import signal
 import sys
 import time
 from collections import Counter
@@ -22,7 +26,7 @@ from collections import Counter
 from radiotopo import MalformedLabel, RunFailed
 from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree
-from radiotopo.labels import StructuredLabel
+from radiotopo.labels import LabelKind, StructuredLabel
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.trees import Tree
@@ -38,6 +42,19 @@ TREES = {
 }
 
 
+WIDE_DEGREE = (20, 64)
+RUN_LIMIT_S = 5.0
+
+
+class OverTime(BaseException):
+    """Raised by the run's alarm.  Not an Exception, so the simulator cannot
+    wrap it as a failure of the program that happened to be running."""
+
+
+def _alarm(signum, frame):
+    raise OverTime
+
+
 def flip(bit: str) -> str:
     return "1" if bit == "0" else "0"
 
@@ -50,9 +67,17 @@ def mutations(bits: str) -> list[str]:
     return sorted(set(out) - {bits})
 
 
+def field_mutations(lab: StructuredLabel, i: int) -> list[str]:
+    wide = ["1" * k for k in WIDE_DEGREE] if lab.kind is LabelKind.MAIN_SCHEME and i == 2 else []
+    return sorted(set(mutations(lab.fields[i]) + wide) - {lab.fields[i]})
+
+
 def outcome(tree: Tree, labels: dict) -> str:
+    signal.setitimer(signal.ITIMER_REAL, RUN_LIMIT_S)
     try:
         art = run_tree(tree, preset_labels=labels)
+    except OverTime:
+        return f"over the {RUN_LIMIT_S:g} s limit"
     except RunFailed:
         return "run failed"
     except MalformedLabel:
@@ -63,18 +88,21 @@ def outcome(tree: Tree, labels: dict) -> str:
         return f"run-time fault, exit 2 ({type(exc).__name__})"
     except Exception as exc:
         return f"traceback ({type(exc).__name__})"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
     return "valid run" if art.report.ok else "invalid run"
 
 
 def main() -> int:
+    signal.signal(signal.SIGALRM, _alarm)
     start = time.time()
     total: Counter = Counter()
     for name, tree in TREES.items():
         labels = run_tree(tree).structured
         counts: Counter = Counter()
         for v, lab in sorted(labels.items()):
-            for i, bits in enumerate(lab.fields):
-                for new in mutations(bits):
+            for i in range(len(lab.fields)):
+                for new in field_mutations(lab, i):
                     fields = lab.fields[:i] + (new,) + lab.fields[i + 1:]
                     mutated = {**labels, v: StructuredLabel(lab.kind, fields)}
                     counts[outcome(tree, mutated)] += 1
@@ -83,7 +111,7 @@ def main() -> int:
     print(f"all: {sum(total.values())} mutations in {time.time() - start:.1f}s")
     for kind, count in sorted(total.items()):
         print(f"  {kind:40} {count}")
-    bad = sum(c for k, c in total.items() if k.startswith(("run-time", "traceback", "bare")))
+    bad = sum(c for k, c in total.items() if k.startswith(("run-time", "traceback", "bare", "over")))
     return 1 if bad else 0
 
 

@@ -12,12 +12,20 @@ general one) or by the kinds of a given label set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
 from .engine import Metrics, NodeProgram, RunFailed, Transcript, default_round_budget, simulate
-from .labels import LabelKind, MalformedLabel, StructuredLabel, encode, scheme_length
+from .labels import (
+    LABEL_CACHE_SIZE,
+    LabelKind,
+    MalformedLabel,
+    StructuredLabel,
+    encode,
+    scheme_length,
+)
 from .scheme import LabeledTree, MainLabel, label_tree
 from .trees import OrbitInterner, Tree
 from .generators import GenSpec, InfeasibleFamily, generate
@@ -141,32 +149,40 @@ def _line_checks(transcript: Transcript, line_labels: dict[int, protocol_line.Li
     return {"mod3": not check_mod3(transcript, line_labels)}, {}
 
 
+# Process-wide tables, one per conversion.  A batch repeats a few hundred
+# label values across all its runs, so each value is converted, measured and
+# decoded once per process; the bound only caps what adversarial label sets
+# can pin.  A conversion that raises stores nothing, so a malformed label is
+# rejected on every run.
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def _structured_label(label) -> StructuredLabel:
+    return label.to_structured()
+
+
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def _encoded(label: StructuredLabel) -> str:
+    return encode(label)
+
+
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def _decoded_label(label_cls, label: StructuredLabel):
+    return label_cls.from_structured(label)
+
+
 def _structured(labels: dict) -> dict[int, StructuredLabel]:
-    """Structured labels by node; equal labels share one structured label,
-    built once."""
-    memo: dict = {}
-    structured = {}
-    for v, lab in labels.items():
-        s = memo.get(lab)
-        if s is None:
-            s = memo[lab] = lab.to_structured()
-        structured[v] = s
-    return structured
+    """Structured labels by node; equal labels share one structured label."""
+    return {v: _structured_label(lab) for v, lab in labels.items()}
 
 
 def _decoded(label_cls, structured: dict[int, StructuredLabel]) -> dict:
-    """Protocol labels by node, each distinct structured label decoded once;
-    a malformed one names the first node that holds it."""
-    memo: dict[StructuredLabel, object] = {}
+    """Protocol labels by node; equal structured labels share one decoded
+    label.  A malformed one names the first node that holds it."""
     decoded = {}
     for v, s in structured.items():
-        lab = memo.get(s)
-        if lab is None:
-            try:
-                lab = memo[s] = label_cls.from_structured(s)
-            except MalformedLabel as exc:
-                raise MalformedLabel(f"node {v}: {exc}") from exc
-        decoded[v] = lab
+        try:
+            decoded[v] = _decoded_label(label_cls, s)
+        except MalformedLabel as exc:
+            raise MalformedLabel(f"node {v}: {exc}") from exc
     return decoded
 
 
@@ -327,7 +343,7 @@ def run_tree(
         seed=seed,
         protocol=proto,
         rounds=metrics.completion_round,
-        max_label_bits=scheme_length(encode(s) for s in set(structured.values())),
+        max_label_bits=scheme_length(_encoded(s) for s in set(structured.values())),
         node_valid=node_valid,
         checks=checks,
     )
@@ -449,8 +465,8 @@ def pigeonhole_certificate(delta: int, label_bits: int) -> PigeonholeCertificate
 
 def parse_config(text: str) -> dict:
     """Line-oriented key=value; delta/diameter/seeds accumulate, with comma
-    lists and lo..hi ranges."""
-    out = {"family": ["random"], "delta": [], "diameter": [], "seeds": [], "count": 1}
+    lists and lo..hi ranges (lo <= hi)."""
+    out = {"family": ["random"], "delta": [], "diameter": [], "seeds": []}
     families: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -462,16 +478,15 @@ def parse_config(text: str) -> dict:
         if key == "family":
             families.append(value)
             continue
-        if key == "count":
-            out["count"] = int(value)
-            continue
         if key not in ("delta", "diameter", "seeds"):
             raise ValueError(f"unknown config key {key!r}")
         for piece in value.split(","):
             piece = piece.strip()
             if ".." in piece:
-                lo, hi = piece.split("..")
-                out[key].extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in piece.split(".."))
+                if lo > hi:
+                    raise ValueError(f"empty range {piece!r} for {key}")
+                out[key].extend(range(lo, hi + 1))
             elif piece:
                 out[key].append(int(piece))
     if families:
@@ -489,29 +504,27 @@ def config_runs(config: dict):
     """
     for family in config["family"]:
         if family in ("random", "sticks", "diamLB", "degLB"):
-            for delta in config["delta"]:
-                for diameter in config["diameter"]:
-                    for seed in config["seeds"]:
-                        spec = GenSpec(family, delta=delta, diameter=diameter, seed=seed, count=1)
-                        try:
-                            trees = generate(spec)
-                        except InfeasibleFamily:
-                            continue
-                        yield family, trees[0], None, seed
+            cases = [
+                (GenSpec(family, delta=delta, diameter=diameter, seed=seed), None, seed)
+                for delta in config["delta"]
+                for diameter in config["diameter"]
+                for seed in config["seeds"]
+            ]
         elif family == "lines":
-            for diameter in config["diameter"]:
-                for tree in generate(GenSpec(family, diameter=diameter)):
-                    yield family, tree, None, 0
+            cases = [(GenSpec(family, diameter=d), None, 0) for d in config["diameter"]]
         elif family == "stars":
-            for delta in config["delta"]:
-                for tree in generate(GenSpec(family, delta=delta)):
-                    yield family, tree, delta, 0
+            cases = [(GenSpec(family, delta=d), d, 0) for d in config["delta"]]
         elif family == "feas":
-            for delta in config["delta"]:
-                for tree in generate(GenSpec(family, delta=delta)):
-                    yield family, tree, None, 0
+            cases = [(GenSpec(family, delta=d), None, 0) for d in config["delta"]]
         else:
             raise ValueError(f"unknown family {family!r}")
+        for spec, star_delta, seed in cases:
+            try:
+                trees = generate(spec)
+            except InfeasibleFamily:
+                continue
+            for tree in trees:
+                yield family, tree, star_delta, seed
 
 
 def run_experiment(config_text: str) -> tuple[str, bool]:

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+# Bound of each process-wide table of label values (labeler, harness).
+LABEL_CACHE_SIZE = 1024
+
+
 class MalformedLabel(ValueError):
     """Raised when a bit string is not a valid encoded label."""
 

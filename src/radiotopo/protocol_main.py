@@ -278,6 +278,11 @@ class MainProgram(NodeProgram):
         if phase == "core_gossip":
             if self.is_root:
                 delta = decode_shares([lab.degree_share for lab in labels], self.m)
+                # The scheme's own relation, checked before derive_params lists
+                # a shape catalog for the degree; every other node learns the
+                # degree from the root's level wave.
+                if -(-delta.bit_length() // 4) != self.m:
+                    raise ProtocolViolation(f"degree {delta} does not fit core size {self.m}")
                 self._learn_delta(delta, self.windows[phase][1])
         elif phase == "slot_gossip":
             if group.my_id == 1:
@@ -302,6 +307,8 @@ class MainProgram(NodeProgram):
             message = ("subtree", lab, self.my_subtree, self.slot)
         else:
             forms = self.params.catalog.forms
+            if self.shape_index is None:
+                raise ProtocolViolation("light sender has no decoded shape index")
             if not 1 <= self.shape_index <= len(forms):
                 raise ProtocolViolation(f"shape index {self.shape_index} outside the catalog")
             shape = forms[self.shape_index - 1]

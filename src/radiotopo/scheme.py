@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .engine import MissingChunk
-from .labels import LabelKind, MalformedLabel, StructuredLabel
+from .labels import LABEL_CACHE_SIZE, LabelKind, MalformedLabel, StructuredLabel
 from .trees import (
     RootedTree,
     ShapeCatalog,
@@ -176,6 +176,13 @@ class MainLabel:
         )
 
 
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def _main_label(*fields) -> MainLabel:
+    """One MainLabel per distinct field tuple, shared by every labeled tree
+    in the process."""
+    return MainLabel(*fields)
+
+
 @dataclass
 class GroundTruth:
     """Labeler-side values used only by verification, never by node programs."""
@@ -318,14 +325,14 @@ def label_tree(tree: Tree) -> LabeledTree:
 
     core_bits = bits_of(m)
     labels = {
-        v: MainLabel(
-            markers=tuple(markers[v]),
-            degree_share=degree_share.get(v),
-            slot_share=slot_share.get(v),
-            slot_echo=v in slot_echo,
-            shape_share=shape_share.get(v),
-            count_share=count_share.get(v),
-            core_size_bits=core_bits,
+        v: _main_label(
+            tuple(markers[v]),
+            degree_share.get(v),
+            slot_share.get(v),
+            v in slot_echo,
+            shape_share.get(v),
+            count_share.get(v),
+            core_bits,
         )
         for v in range(tree.n)
     }

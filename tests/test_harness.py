@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from radiotopo import harness
+from radiotopo import harness, scheme
 from radiotopo.cli import _parse_outputs
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import RoundRecord
@@ -24,7 +24,14 @@ from radiotopo.harness import (
     view_collision_search,
     view_of_root,
 )
-from radiotopo.labels import LabelKind, StructuredLabel, encode, labels_from_text, labels_to_text
+from radiotopo.labels import (
+    LabelKind,
+    MalformedLabel,
+    StructuredLabel,
+    encode,
+    labels_from_text,
+    labels_to_text,
+)
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.scheme import MainLabel, label_tree
@@ -241,13 +248,39 @@ class TestBatch:
         assert ok
         assert "line" in csv_text and "star" in csv_text
 
-    def test_each_distinct_main_label_is_built_decoded_and_encoded_once(self, monkeypatch):
+    @pytest.mark.parametrize("line", ["count=2", "seeds=5..1"])
+    def test_unread_count_and_empty_range_exit_2(self, tmp_path, line):
+        with pytest.raises(ValueError):
+            parse_config(f"delta=3\ndiameter=4\n{line}\n")
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"delta=3\ndiameter=4\n{line}\n")
+        out_csv = tmp_path / "out.csv"
+        assert cli_main(["batch", "--config", str(config), "--out", str(out_csv)]) == 2
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "grid, feasible",
+        [
+            ("family=stars\ndelta=2,3\n", "family=stars\ndelta=3\n"),
+            ("family=feas\ndelta=2,4\n", "family=feas\ndelta=4\n"),
+            ("family=lines\ndiameter=1,4\n", "family=lines\ndiameter=4\n"),
+        ],
+    )
+    def test_infeasible_values_are_skipped(self, grid, feasible):
+        csv_text, ok = run_experiment(grid)
+        assert ok and csv_text.count("\n") > 1
+        assert (csv_text, ok) == run_experiment(feasible)
+
+    def test_each_distinct_label_value_is_converted_once_per_batch(self, monkeypatch):
         # The sweep grid with seeds 17..32: its 7,244 main-protocol nodes
-        # carry 2,980 distinct labels, counted per run.
+        # carry 76 distinct labels across the whole batch.
         sweep = (
             "family=random\nfamily=sticks\ndelta=3,4,8,16\ndiameter=4,6,8\n"
             "seeds=17..32\nfamily=lines\nfamily=stars\n"
         )
+        for table in (scheme._main_label, harness._structured_label, harness._encoded,
+                      harness._decoded_label):
+            table.cache_clear()
         calls = Counter()
 
         def counted(name, fn):
@@ -270,9 +303,30 @@ class TestBatch:
         _, ok = run_experiment(sweep)
         assert ok
         trees = [t for _, t, _, _ in config_runs(parse_config(sweep)) if dispatch_protocol(t) == "main"]
-        distinct = sum(len(set(label_tree(t).labels.values())) for t in trees)
-        assert (sum(t.n for t in trees), distinct) == (7244, 2980)
+        labels = [lab for t in trees for lab in label_tree(t).labels.values()]
+        distinct = len(set(labels))
+        assert (len(labels), distinct) == (7244, 76)
+        assert len({id(lab) for lab in labels}) == distinct  # one object per value
         assert calls == {"to_structured": distinct, "from_structured": distinct, "encode": distinct}
+
+    def test_equal_labels_from_two_runs_share_one_object(self):
+        a, b = run_tree(random_tree(8, 6, 1)), run_tree(random_tree(8, 6, 2))
+        for first, second in (
+            ([p.label for p in a.programs.values()], [p.label for p in b.programs.values()]),
+            (list(a.structured.values()), list(b.structured.values())),
+        ):
+            equal = [(x, y) for x in first for y in second if x == y]
+            assert equal
+            assert all(x is y for x, y in equal)
+
+    def test_malformed_label_is_rejected_on_every_run(self):
+        tree = random_tree(8, 6, 1)
+        labels = dict(run_tree(tree).structured)
+        fields = labels[3].fields
+        labels[3] = StructuredLabel(labels[3].kind, fields[:10] + ("",))
+        for _ in range(2):
+            with pytest.raises(MalformedLabel, match="node 3: main-scheme core-size field is empty"):
+                run_tree(tree, preset_labels=labels)
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 import pytest
 
+from radiotopo import protocol_main
 from radiotopo.engine import NodeProgram, default_round_budget, simulate
 from radiotopo.generators import SplitMix, family_sticks, random_tree
 from radiotopo.harness import check_run, check_tr_delivery, run_tree
@@ -303,6 +304,44 @@ class TestDecodeShares:
             ProtocolViolation, match=r"^node 8, round \d+: shape index 0 outside the catalog$"
         ):
             run_tree(tree, preset_labels=labels)
+
+
+    def test_light_sender_without_a_decoded_shape_index_fails_the_run(self):
+        # Node 0's empty shape-share id keeps it out of its shape gossip
+        # group, but its count share still makes it send in the collection.
+        tree = random_tree(16, 6, 2)
+        labels = dict(run_tree(tree).structured)
+        lab = labels[0]
+        labels[0] = StructuredLabel(lab.kind, lab.fields[:6] + ("",) + lab.fields[7:])
+        with pytest.raises(
+            ProtocolViolation, match=r"^node 0, round \d+: light sender has no decoded shape index$"
+        ):
+            run_tree(tree, preset_labels=labels)
+
+    @pytest.mark.parametrize("ones", [20, 64])
+    def test_degree_that_does_not_fit_the_core_size_fails_before_the_catalog(
+        self, monkeypatch, ones
+    ):
+        # Node 3 holds the root core's one degree chunk; k ones spell a
+        # degree of k bits, which needs a core of k/4 members, not 1.
+        tree = random_tree(8, 6, 1)
+        labels = dict(run_tree(tree).structured)
+        lab = labels[3]
+        assert lab.fields[1] == "1" and lab.fields[10] == "1"
+        labels[3] = StructuredLabel(lab.kind, lab.fields[:2] + ("1" * ones,) + lab.fields[3:])
+        derived = []
+
+        def spy(delta):
+            derived.append(delta)
+            return derive_params(delta)
+
+        monkeypatch.setattr(protocol_main, "derive_params", spy)
+        with pytest.raises(
+            ProtocolViolation,
+            match=rf"^node 3, round \d+: degree {2**ones - 1} does not fit core size 1$",
+        ):
+            run_tree(tree, preset_labels=labels)
+        assert derived == []
 
 
 class TestChildPlace:

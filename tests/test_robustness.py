@@ -78,7 +78,7 @@ def run_mutated(tmp_path, capsys, tree, node, field, bits):
     [
         (TWO_HUB, 6, 0, "0"),  # no carrier is last: TypeError in the root
         (random_tree(16, 6, 2), 0, 7, "11"),  # shape index outside the catalog
-        (random_tree(8, 6, 1), 3, 2, "0000"),  # decoded degree 0: UnsupportedShape
+        (random_tree(8, 6, 1), 3, 2, "0000"),  # decoded degree 0 does not fit the core size
     ],
 )
 def test_program_faults_exit_1_naming_the_node(tmp_path, capsys, tree, node, field, bits):
