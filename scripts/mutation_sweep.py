@@ -9,13 +9,15 @@ one node's label is replaced (emptied, a bit flipped at either end, its last
 bit dropped, a 0 or a 1 appended, every bit set) and the tree is run with
 those labels.  The degree-share chunk of a main-scheme label (field 2) is
 also set to k ones for each k in WIDE_DEGREE, a degree far too large for
-the label's core size.  A run may end as a valid run, an invalid run
-(outputs that do not place the nodes), a failed run (RunFailed, exit 1 on
-the command line) or a malformed label (MalformedLabel, exit 2).  Any other
-exception is counted by type: a ValueError is a run-time fault the command
-line would report as bad usage (exit 2), anything else a traceback.  A run
-still going after RUN_LIMIT_S seconds is stopped and counted as over the
-limit.  Exits nonzero if any run ends in one of those.
+the label's core size, and its core-size field (field 10) to k ones for
+each k in WIDE_CORE, a gossip window of (2^k - 1)^2 rounds.  A run may end
+as a valid run, an invalid run (outputs that do not place the nodes), a
+failed run (RunFailed, exit 1 on the command line) or a malformed label
+(MalformedLabel, exit 2).  Any other exception is counted by type: a
+ValueError is a run-time fault the command line would report as bad usage
+(exit 2), anything else a traceback.  A run still going after RUN_LIMIT_S
+seconds is stopped and counted as over the limit.  Exits nonzero if any
+run ends in one of those.
 """
 
 import signal
@@ -43,6 +45,7 @@ TREES = {
 
 
 WIDE_DEGREE = (20, 64)
+WIDE_CORE = (16, 24)
 RUN_LIMIT_S = 5.0
 
 
@@ -68,7 +71,8 @@ def mutations(bits: str) -> list[str]:
 
 
 def field_mutations(lab: StructuredLabel, i: int) -> list[str]:
-    wide = ["1" * k for k in WIDE_DEGREE] if lab.kind is LabelKind.MAIN_SCHEME and i == 2 else []
+    widths = {2: WIDE_DEGREE, 10: WIDE_CORE}.get(i, ()) if lab.kind is LabelKind.MAIN_SCHEME else ()
+    wide = ["1" * k for k in widths]
     return sorted(set(mutations(lab.fields[i]) + wide) - {lab.fields[i]})
 
 

@@ -237,23 +237,6 @@ def simulate(
     return outputs, transcript, metrics
 
 
-def history_of(transcript: Transcript, tree: Tree, target: int, tau: int) -> frozenset[int]:
-    """Nodes whose transmissions can chain to target by round tau.
-
-    A node u is included when deliveries (u1 <- u), (u2 <- u1), ... reach the
-    target in strictly increasing rounds, all at most tau.  Computed by a
-    backward sweep over rounds: latest_start[v] is the largest round t such
-    that a chain from v to target can begin at round t.
-    """
-    latest_start: dict[int, float] = {target: float("inf")}
-    limit = min(tau, len(transcript.records))
-    for t in range(limit, 0, -1):
-        for rx, tx in transcript.records[t - 1].deliveries:
-            if latest_start.get(rx, 0) > t and latest_start.get(tx, 0) < t:
-                latest_start[tx] = t
-    return frozenset(latest_start)
-
-
 def default_round_budget(delta: int, diameter: int) -> int:
     """Generous cap catching livelock: a fixed multiple of the target bound."""
     b = delta.bit_length()

@@ -8,8 +8,9 @@ implementation of these generators produces identical corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .trees import Tree
+from .trees import Tree, path_tree, star_tree
 
 _MASK = (1 << 64) - 1
 
@@ -45,6 +46,23 @@ def _path_edges(count: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(count)]
 
 
+def _regular_bush(
+    edges: list[tuple[int, int]], root: int, n: int, children: int, levels: int
+) -> tuple[list[int], int]:
+    """Hang levels full levels of the given number of children below root,
+    numbering new nodes from n; the deepest level and the next free id."""
+    frontier = [root]
+    for _level in range(levels):
+        nxt = []
+        for parent in frontier:
+            for _ in range(children):
+                edges.append((parent, n))
+                nxt.append(n)
+                n += 1
+        frontier = nxt
+    return frontier, n
+
+
 def random_tree(delta: int, diameter: int, seed: int) -> Tree:
     """Seeded tree with exactly the given diameter and maximum degree.
 
@@ -55,7 +73,7 @@ def random_tree(delta: int, diameter: int, seed: int) -> Tree:
     if delta < 2 or diameter < 2:
         raise InfeasibleFamily("need maximum degree >= 2 and diameter >= 2")
     if delta == 2:
-        return Tree(diameter + 1, _path_edges(diameter))
+        return path_tree(diameter)
     rng = SplitMix((seed << 8) ^ (delta * 1315423911) ^ diameter)
     edges = _path_edges(diameter)
     if diameter % 2 == 0:
@@ -118,16 +136,7 @@ def family_sticks(delta: int, diameter: int, seed: int, count: int) -> list[Tree
     out = []
     for _ in range(count):
         edges: list[tuple[int, int]] = []
-        n = 1
-        frontier = [0]
-        for _level in range(height):
-            nxt = []
-            for parent in frontier:
-                for _ in range(delta - 1):
-                    edges.append((parent, n))
-                    nxt.append(n)
-                    n += 1
-            frontier = nxt
+        frontier, n = _regular_bush(edges, 0, 1, delta - 1, height)
         first_stick = True
         tip = None
         for leaf in frontier:
@@ -171,16 +180,7 @@ def family_diam_lb(diameter: int, delta: int, seed: int, count: int) -> list[Tre
         edges = _path_edges(handle - 1)
         bush_root = handle
         edges.append((handle - 1, bush_root))
-        n = bush_root + 1
-        frontier = [bush_root]
-        for _level in range(half - 1):
-            nxt = []
-            for parent in frontier:
-                for _ in range(delta - 1):
-                    edges.append((parent, n))
-                    nxt.append(n)
-                    n += 1
-            frontier = nxt
+        frontier, n = _regular_bush(edges, bush_root, bush_root + 1, delta - 1, half - 1)
         tips = []
         for special in frontier[:2]:
             edges.append((special, n))
@@ -234,20 +234,14 @@ def family_lines(diameter: int) -> list[Tree]:
     """Lines of every length from floor(D/2)+1 up to D."""
     if diameter < 2:
         raise InfeasibleFamily("need diameter >= 2")
-    return [Tree(k + 1, _path_edges(k)) for k in range(diameter // 2 + 1, diameter + 1)]
+    return [path_tree(k) for k in range(diameter // 2 + 1, diameter + 1)]
 
 
 def family_stars(delta: int) -> list[Tree]:
     """Stars of every degree from floor(delta/2)+1 up to delta."""
     if delta < 3:
         raise InfeasibleFamily("need delta >= 3")
-    out = []
-    for k in range(delta // 2 + 1, delta + 1):
-        out.append(Tree(k + 1, [(0, i) for i in range(1, k + 1)]))
-    return out
-
-
-FAMILIES = ("random", "feas", "diamLB", "degLB", "sticks", "lines", "stars")
+    return [star_tree(k) for k in range(delta // 2 + 1, delta + 1)]
 
 
 @dataclass(frozen=True)
@@ -259,19 +253,37 @@ class GenSpec:
     count: int = 1
 
 
+@dataclass(frozen=True)
+class Family:
+    build: Callable[[GenSpec], list[Tree]]
+    # The GenSpec fields a batch grid sweeps; the others keep their defaults.
+    axes: tuple[str, ...]
+    # Whether a batch passes each delta on as the star protocol's class bound.
+    star_class: bool
+
+
+_GRID = ("delta", "diameter", "seed")
+
+# The one family table, read by the command line's choices, generate and the
+# batch grid.  The builders are looked up by module name at call time.
+FAMILY_TABLE = {
+    "random": Family(
+        lambda s: [random_tree(s.delta, s.diameter, s.seed + i) for i in range(s.count)],
+        _GRID,
+        False,
+    ),
+    "feas": Family(lambda s: family_feasibility(s.delta), ("delta",), False),
+    "diamLB": Family(lambda s: family_diam_lb(s.diameter, s.delta, s.seed, s.count), _GRID, False),
+    "degLB": Family(lambda s: family_deg_lb(s.delta, s.diameter, s.seed, s.count), _GRID, False),
+    "sticks": Family(lambda s: family_sticks(s.delta, s.diameter, s.seed, s.count), _GRID, False),
+    "lines": Family(lambda s: family_lines(s.diameter), ("diameter",), False),
+    "stars": Family(lambda s: family_stars(s.delta), ("delta",), True),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
 def generate(spec: GenSpec) -> list[Tree]:
-    if spec.family == "random":
-        return [random_tree(spec.delta, spec.diameter, spec.seed + i) for i in range(spec.count)]
-    if spec.family == "feas":
-        return family_feasibility(spec.delta)
-    if spec.family == "diamLB":
-        return family_diam_lb(spec.diameter, spec.delta, spec.seed, spec.count)
-    if spec.family == "degLB":
-        return family_deg_lb(spec.delta, spec.diameter, spec.seed, spec.count)
-    if spec.family == "sticks":
-        return family_sticks(spec.delta, spec.diameter, spec.seed, spec.count)
-    if spec.family == "lines":
-        return family_lines(spec.diameter)
-    if spec.family == "stars":
-        return family_stars(spec.delta)
-    raise InfeasibleFamily(f"unknown family {spec.family!r}")
+    family = FAMILY_TABLE.get(spec.family)
+    if family is None:
+        raise InfeasibleFamily(f"unknown family {spec.family!r}")
+    return family.build(spec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
@@ -28,7 +28,7 @@ from .labels import (
 )
 from .scheme import LabeledTree, MainLabel, label_tree
 from .trees import OrbitInterner, Tree
-from .generators import GenSpec, InfeasibleFamily, generate
+from .generators import FAMILY_TABLE, GenSpec, InfeasibleFamily, generate
 
 
 @dataclass
@@ -149,19 +149,14 @@ def _line_checks(transcript: Transcript, line_labels: dict[int, protocol_line.Li
     return {"mod3": not check_mod3(transcript, line_labels)}, {}
 
 
-# Process-wide tables, one per conversion.  A batch repeats a few hundred
-# label values across all its runs, so each value is converted, measured and
-# decoded once per process; the bound only caps what adversarial label sets
-# can pin.  A conversion that raises stores nothing, so a malformed label is
-# rejected on every run.
+# Process-wide tables, one per conversion (the codec in labels.py keeps its
+# own).  A batch repeats a few hundred label values across all its runs, so
+# each value is converted and decoded once per process; the bound only caps
+# what adversarial label sets can pin.  A conversion that raises stores
+# nothing, so a malformed label is rejected on every run.
 @lru_cache(maxsize=LABEL_CACHE_SIZE)
 def _structured_label(label) -> StructuredLabel:
     return label.to_structured()
-
-
-@lru_cache(maxsize=LABEL_CACHE_SIZE)
-def _encoded(label: StructuredLabel) -> str:
-    return encode(label)
 
 
 @lru_cache(maxsize=LABEL_CACHE_SIZE)
@@ -343,7 +338,7 @@ def run_tree(
         seed=seed,
         protocol=proto,
         rounds=metrics.completion_round,
-        max_label_bits=scheme_length(_encoded(s) for s in set(structured.values())),
+        max_label_bits=scheme_length(encode(s) for s in set(structured.values())),
         node_valid=node_valid,
         checks=checks,
     )
@@ -496,6 +491,9 @@ def parse_config(text: str) -> dict:
     return out
 
 
+_CONFIG_KEY = {"delta": "delta", "diameter": "diameter", "seed": "seeds"}  # GenSpec field -> key
+
+
 def config_runs(config: dict):
     """Expand a parsed config into (family, tree, delta_class, seed) items.
 
@@ -503,28 +501,18 @@ def config_runs(config: dict):
     delta/diameter grid can drive several families at once.
     """
     for family in config["family"]:
-        if family in ("random", "sticks", "diamLB", "degLB"):
-            cases = [
-                (GenSpec(family, delta=delta, diameter=diameter, seed=seed), None, seed)
-                for delta in config["delta"]
-                for diameter in config["diameter"]
-                for seed in config["seeds"]
-            ]
-        elif family == "lines":
-            cases = [(GenSpec(family, diameter=d), None, 0) for d in config["diameter"]]
-        elif family == "stars":
-            cases = [(GenSpec(family, delta=d), d, 0) for d in config["delta"]]
-        elif family == "feas":
-            cases = [(GenSpec(family, delta=d), None, 0) for d in config["delta"]]
-        else:
+        fam = FAMILY_TABLE.get(family)
+        if fam is None:
             raise ValueError(f"unknown family {family!r}")
-        for spec, star_delta, seed in cases:
+        for values in product(*(config[_CONFIG_KEY[axis]] for axis in fam.axes)):
+            spec = GenSpec(family, **dict(zip(fam.axes, values)))
             try:
                 trees = generate(spec)
             except InfeasibleFamily:
                 continue
+            star_delta = spec.delta if fam.star_class else None
             for tree in trees:
-                yield family, tree, star_delta, seed
+                yield family, tree, star_delta, spec.seed
 
 
 def run_experiment(config_text: str) -> tuple[str, bool]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
-# Bound of each process-wide table of label values (labeler, harness).
+# Bound of each process-wide table of label values (codec, labeler, harness).
 LABEL_CACHE_SIZE = 1024
 
 
@@ -77,6 +78,10 @@ class StructuredLabel:
             _check_bits(f)
 
 
+# The codec's two tables: a batch encodes and a label file decodes each
+# distinct value once per process, and equal bit strings decode to one label
+# object.  A string that fails to decode stores nothing.
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
 def encode(label: StructuredLabel) -> str:
     parts = [_KIND_TAG[label.kind]]
     for f in label.fields:
@@ -85,6 +90,7 @@ def encode(label: StructuredLabel) -> str:
     return "".join(parts)
 
 
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
 def decode(bits: str) -> StructuredLabel:
     _check_bits(bits)
     if len(bits) < 4:
@@ -111,8 +117,7 @@ def decode(bits: str) -> StructuredLabel:
             else:
                 raise MalformedLabel("missing field terminator")
         fields.append("".join(payload))
-    label = StructuredLabel(kind=kind, fields=tuple(fields))
-    return label
+    return StructuredLabel(kind=kind, fields=tuple(fields))
 
 
 def scheme_length(labels) -> int:
@@ -124,31 +129,20 @@ def scheme_length(labels) -> int:
 
 
 def labels_to_text(labels: dict[int, StructuredLabel]) -> str:
-    """One line per node; each distinct label is encoded once."""
-    encoded: dict[StructuredLabel, str] = {}
-    lines = []
-    for node in sorted(labels):
-        lab = labels[node]
-        bits = encoded.get(lab)
-        if bits is None:
-            bits = encoded[lab] = encode(lab)
-        lines.append(f"{node} {lab.kind.value} {bits}")
+    """One line per node."""
+    lines = [f"{v} {labels[v].kind.value} {encode(labels[v])}" for v in sorted(labels)]
     return "\n".join(lines) + "\n"
 
 
 def labels_from_text(text: str) -> dict[int, StructuredLabel]:
-    """Labels by node; each distinct bit string is decoded once, and nodes
-    with equal bits share one label object."""
-    decoded: dict[str, StructuredLabel] = {}
+    """Labels by node; nodes with equal bits share one label object."""
     out: dict[int, StructuredLabel] = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         node_s, kind_name, bits = ln.split()
-        label = decoded.get(bits)
-        if label is None:
-            label = decoded[bits] = decode(bits)
+        label = decode(bits)
         if label.kind.value != kind_name:
             raise MalformedLabel(f"kind mismatch on line {ln!r}")
         out[int(node_s)] = label

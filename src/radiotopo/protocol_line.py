@@ -19,11 +19,7 @@ from typing import Optional
 from .engine import NodeProgram
 from .labels import LabelKind, StructuredLabel, field_value
 from .scheme import bits_of
-from .trees import Tree, root_at
-
-
-def path_tree(k: int) -> Tree:
-    return Tree(k + 1, [(i, i + 1) for i in range(k)])
+from .trees import Tree, path_tree, root_at
 
 
 def line_positions(tree: Tree) -> list[int]:

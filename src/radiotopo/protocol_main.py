@@ -30,6 +30,7 @@ from .scheme import (
     MARK_ROOT,
     MainLabel,
     SchemeParams,
+    core_size_for,
     decode_shares,
     derive_params,
 )
@@ -212,10 +213,21 @@ class MainProgram(NodeProgram):
         lo, hi = self.windows[phase]
         group = GossipState(tag, share[0], self.label, self.m, lo - 1)
         self.gossip[phase] = group
-        for slot_round in range(lo - 1 + group.my_id, hi + 1, self.m):
-            self.at(slot_round, group.decide)
+        first = lo - 1 + group.my_id  # the node's first slot after now
+        if first <= round_no:
+            first += ((round_no - first) // self.m + 1) * self.m
+        if first <= hi:
+            self.at(first, lambda now: self._slot(group, hi, now))
         # A window that contradicting labels put in the past decodes in the next round.
         self.at(max(hi + 1, round_no + 1), lambda _round: self._finish_gossip(phase))
+
+    def _slot(self, group: GossipState, hi: int, now: int) -> Optional[tuple]:
+        """Speak in a gossip slot.  Each slot queues the next one up to the
+        window's last round hi, so a wide window costs only the slots the
+        run reaches."""
+        if now + self.m <= hi:
+            self.at(now + self.m, lambda later: self._slot(group, hi, later))
+        return group.decide(now)
 
     def _learn_height(self, height: int, round_no: int) -> None:
         if self.height is not None:
@@ -281,7 +293,7 @@ class MainProgram(NodeProgram):
                 # The scheme's own relation, checked before derive_params lists
                 # a shape catalog for the degree; every other node learns the
                 # degree from the root's level wave.
-                if -(-delta.bit_length() // 4) != self.m:
+                if core_size_for(delta) != self.m:
                     raise ProtocolViolation(f"degree {delta} does not fit core size {self.m}")
                 self._learn_delta(delta, self.windows[phase][1])
         elif phase == "slot_gossip":

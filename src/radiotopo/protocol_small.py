@@ -15,7 +15,7 @@ from typing import Optional
 from .engine import NodeProgram
 from .labels import LabelKind, StructuredLabel, field_value
 from .scheme import bits_of, choose_root, chunk, decode_shares
-from .trees import Tree
+from .trees import Tree, star_tree
 
 CARRIER_KINDS = frozenset({LabelKind.D3_LEAF, LabelKind.STAR_LEAF})
 
@@ -23,10 +23,6 @@ CARRIER_KINDS = frozenset({LabelKind.D3_LEAF, LabelKind.STAR_LEAF})
 def chunk_len(delta: int) -> int:
     """max(1, floor(log2(log2(delta)))) via exact bit-length arithmetic."""
     return max(1, (delta.bit_length() - 1).bit_length() - 1)
-
-
-def star_tree(k: int) -> Tree:
-    return Tree(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 @dataclass(frozen=True)

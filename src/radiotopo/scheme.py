@@ -25,11 +25,9 @@ from .trees import (
     RootedTree,
     ShapeCatalog,
     Tree,
-    center,
     classify_heavy,
     core_subtree,
     enumerate_rooted_trees,
-    index_in_sequence,
     root_at,
 )
 
@@ -96,9 +94,13 @@ class SchemeParams:
 
     delta: int
     core_size: int  # m: size of the spreading groups
-    catalog: ShapeCatalog  # shapes of size < core_size
-    catalog_len: int  # q
+    catalog: ShapeCatalog  # shapes of size < core_size; q = len(catalog)
     block_len: int  # E: half-epoch length; an epoch is 2*block_len rounds
+
+
+def core_size_for(delta: int) -> int:
+    """m = ceil(bitlen(delta) / 4), the size of the spreading groups."""
+    return -(-delta.bit_length() // 4)
 
 
 @lru_cache(maxsize=64)
@@ -107,11 +109,10 @@ def derive_params(delta: int) -> SchemeParams:
     alone, so equal degrees share one SchemeParams and one catalog."""
     if delta < 3:
         raise UnsupportedShape("scheme needs maximum degree >= 3")
-    m = -(-delta.bit_length() // 4)
+    m = core_size_for(delta)
     catalog = enumerate_rooted_trees(m - 1)
-    q = len(catalog)
-    block = max(2 * delta, delta + q * m + 1)
-    return SchemeParams(delta=delta, core_size=m, catalog=catalog, catalog_len=q, block_len=block)
+    block = max(2 * delta, delta + len(catalog) * m + 1)
+    return SchemeParams(delta=delta, core_size=m, catalog=catalog, block_len=block)
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,9 @@ class GroundTruth:
 def choose_root(tree: Tree) -> int:
     """Central node, or for an odd diameter the central-edge endpoint whose
     side is larger (ties to the smaller id)."""
-    c = center(tree)
-    if c.kind == "node":
-        return c.node
-    u, v = c.edge
+    if len(tree.center) == 1:
+        return tree.center[0]
+    u, v = tree.center
     # Side sizes after deleting the central edge: v's side hangs below v.
     size_v = root_at(tree, u).subtree_size[v]
     size_u = tree.n - size_v
@@ -255,7 +255,7 @@ def assign_shapes(rt: RootedTree, heavy: frozenset[int], catalog: ShapeCatalog) 
     for v in range(rt.tree.n):
         p = rt.parent[v]
         if v not in heavy and p is not None and p in heavy:
-            shapes[v] = index_in_sequence(catalog, rt, v)
+            shapes[v] = catalog.index_of_form(rt.form(v))
     return shapes
 
 

@@ -96,41 +96,37 @@ class Tree:
         d1 = self.distances_from(far)
         return max(d1)
 
+    @cached_property
+    def center(self) -> tuple[int, ...]:
+        """Middle of all longest paths: one node for an even diameter, the two
+        ends of the central edge, ascending, for an odd one.  Leaves are
+        peeled layer by layer until one node or one edge remains."""
+        adj = self.adjacency
+        deg = [len(a) for a in adj]  # -1 once peeled
+        alive = self.n
+        layer = [v for v in range(self.n) if deg[v] == 1]
+        while alive > 2:
+            nxt = []
+            for v in layer:
+                deg[v] = -1
+                alive -= 1
+                for w in adj[v]:
+                    if deg[w] > 1:
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+            layer = nxt
+        return tuple(v for v in range(self.n) if deg[v] >= 0)
 
-@dataclass(frozen=True)
-class CenterResult:
-    """Middle of all longest paths: a node for even diameter, an edge for odd."""
 
-    kind: str  # "node" or "edge"
-    node: Optional[int] = None
-    edge: Optional[tuple[int, int]] = None
+def path_tree(k: int) -> Tree:
+    """The line of k edges, nodes 0..k in path order."""
+    return Tree(k + 1, [(i, i + 1) for i in range(k)])
 
 
-def center(tree: Tree) -> CenterResult:
-    """Peel leaves layer by layer until one node or one edge remains."""
-    if tree.n == 1:
-        return CenterResult(kind="node", node=0)
-    deg = [tree.degree(v) for v in range(tree.n)]
-    alive = tree.n
-    layer = [v for v in range(tree.n) if deg[v] == 1]
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            alive -= 1
-            for w in tree.adjacency[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-                elif deg[w] == 1:
-                    # Adjacent leaf pair: only possible as the final two.
-                    pass
-        layer = nxt
-    rest = sorted(v for v in range(tree.n) if deg[v] >= 1)
-    if len(rest) == 1:
-        return CenterResult(kind="node", node=rest[0])
-    return CenterResult(kind="edge", edge=(rest[0], rest[1]))
+def star_tree(k: int) -> Tree:
+    """Hub 0 with leaves 1..k."""
+    return Tree(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 @dataclass(frozen=True)
@@ -168,13 +164,6 @@ class RootedTree:
                 out.append(c)
                 queue.append(c)
         return out
-
-    def extract_subtree(self, v: int) -> Tree:
-        """Subtree at v as a standalone tree, relabeled in BFS order with root 0."""
-        nodes = self.subtree_nodes(v)
-        index = {u: i for i, u in enumerate(nodes)}
-        edges = [(index[u], index[c]) for u in nodes for c in self.children[u]]
-        return Tree(len(nodes), edges)
 
 
 def root_at(tree: Tree, root: int) -> RootedTree:
@@ -232,8 +221,7 @@ class OrbitInterner:
 
     def orbit_ids(self, tree: Tree) -> tuple[tuple[int, ...], list[int]]:
         """The tree's center key and the sig of every node, in O(n log degree)."""
-        c = center(tree)
-        roots = (c.node,) if c.kind == "node" else c.edge
+        roots = tree.center
         rt = root_at(tree, roots[0])  # a central edge's far end is cut off below it
         down = [0] * tree.n
         for v in reversed(rt.bfs_order):
@@ -244,16 +232,6 @@ class OrbitInterner:
             up = -1 if v in roots else sig[rt.parent[v]]
             sig[v] = self._sig.setdefault((up, down[v]), len(self._sig))
         return tuple(sorted(down[r] for r in roots)), sig
-
-
-def placement_valid(tree: Tree, v: int, out_tree: Tree, out_v: int) -> bool:
-    """True when some isomorphism of the two trees maps v to out_v."""
-    if tree.n != out_tree.n or not (0 <= v < tree.n and 0 <= out_v < out_tree.n):
-        return False
-    ids = OrbitInterner()
-    key, sig = ids.orbit_ids(tree)
-    out_key, out_sig = ids.orbit_ids(out_tree)
-    return key == out_key and sig[v] == out_sig[out_v]
 
 
 def classify_heavy(rt: RootedTree, delta: int) -> frozenset[int]:
@@ -361,11 +339,6 @@ def enumerate_rooted_trees(max_size: int) -> ShapeCatalog:
     for size in range(1, max_size + 1):
         flat.extend(by_size[size])
     return ShapeCatalog(max_size=max_size, forms=tuple(flat))
-
-
-def index_in_sequence(catalog: ShapeCatalog, rt: RootedTree, v: int) -> int:
-    """1-based catalog position of the shape of the subtree at v."""
-    return catalog.index_of_form(rt.form(v))
 
 
 def parse_tree_text(text: str) -> Tree:

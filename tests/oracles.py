@@ -1,7 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's canonical-form machinery so that
-agreement between the two is meaningful.
+agreement between the two is meaningful.  history_of (the backward sweep
+that brute_history checks) and extract_subtree are reference code that
+only the tests call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from radiotopo.engine import (
     Transcript,
     deliveries_of,
 )
-from radiotopo.trees import Tree
+from radiotopo.trees import RootedTree, Tree
 
 # Number of rooted trees on n unlabeled nodes, n = 0..8 (standard sequence).
 ROOTED_TREE_COUNTS = [0, 1, 1, 2, 4, 9, 20, 48, 115]
@@ -119,6 +121,23 @@ def brute_placement_valid(t1: Tree, v1: int, t2: Tree, v2: int) -> bool:
     return False
 
 
+def history_of(transcript: Transcript, tree: Tree, target: int, tau: int) -> frozenset[int]:
+    """Nodes whose transmissions can chain to target by round tau.
+
+    A node u is included when deliveries (u1 <- u), (u2 <- u1), ... reach the
+    target in strictly increasing rounds, all at most tau.  Computed by a
+    backward sweep over rounds: latest_start[v] is the largest round t such
+    that a chain from v to target can begin at round t.
+    """
+    latest_start: dict[int, float] = {target: float("inf")}
+    limit = min(tau, len(transcript.records))
+    for t in range(limit, 0, -1):
+        for rx, tx in transcript.records[t - 1].deliveries:
+            if latest_start.get(rx, 0) > t and latest_start.get(tx, 0) < t:
+                latest_start[tx] = t
+    return frozenset(latest_start)
+
+
 def brute_history(transcript, tree: Tree, target: int, tau: int) -> frozenset:
     """Greedy earliest-round scheduling along the unique tree path."""
     reach = {target}
@@ -152,6 +171,14 @@ def brute_history(transcript, tree: Tree, target: int, tau: int) -> frozenset:
         if ok and t <= tau:
             reach.add(u)
     return frozenset(reach)
+
+
+def extract_subtree(rt: RootedTree, v: int) -> Tree:
+    """Subtree at v as a standalone tree, relabeled in BFS order with root 0."""
+    nodes = rt.subtree_nodes(v)
+    index = {u: i for i, u in enumerate(nodes)}
+    edges = [(index[u], index[c]) for u in nodes for c in rt.children[u]]
+    return Tree(len(nodes), edges)
 
 
 def all_longest_paths(tree: Tree):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_history, polling_simulate
+from oracles import brute_history, history_of, polling_simulate
 from radiotopo.engine import (
     MissingChunk,
     NodeProgram,
@@ -15,7 +15,6 @@ from radiotopo.engine import (
     RunFailed,
     Transcript,
     default_round_budget,
-    history_of,
     simulate,
 )
 from radiotopo.generators import random_tree

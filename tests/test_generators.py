@@ -1,6 +1,7 @@
 import pytest
 
 from radiotopo.generators import (
+    FAMILIES,
     GenSpec,
     InfeasibleFamily,
     SplitMix,
@@ -13,6 +14,7 @@ from radiotopo.generators import (
     generate,
     random_tree,
 )
+from radiotopo.harness import config_runs, parse_config
 
 
 class TestSplitMix:
@@ -125,3 +127,18 @@ class TestGenerate:
     def test_unknown_family(self):
         with pytest.raises(InfeasibleFamily):
             generate(GenSpec("nope"))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_builds_and_batches(self, family):
+        spec = GenSpec(family, delta=4, diameter=8, seed=1)
+        assert generate(spec)
+        config = parse_config(f"family={family}\ndelta=4\ndiameter=8\nseeds=1\n")
+        runs = list(config_runs(config))
+        assert [tree.edges for _, tree, _, _ in runs] == [t.edges for t in generate(spec)]
+        assert {(fam, star_delta) for fam, _, star_delta, _ in runs} == {
+            (family, 4 if family == "stars" else None)
+        }
+
+    def test_unknown_family_fails_the_batch(self):
+        with pytest.raises(ValueError, match="unknown family 'nope'"):
+            list(config_runs(parse_config("family=nope\ndelta=4\n")))

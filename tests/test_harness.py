@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from radiotopo import harness, scheme
+from radiotopo import labels as codec
 from radiotopo.cli import _parse_outputs
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import RoundRecord
@@ -278,15 +279,22 @@ class TestBatch:
             "family=random\nfamily=sticks\ndelta=3,4,8,16\ndiameter=4,6,8\n"
             "seeds=17..32\nfamily=lines\nfamily=stars\n"
         )
-        for table in (scheme._main_label, harness._structured_label, harness._encoded,
+        for table in (scheme._main_label, harness._structured_label, encode,
                       harness._decoded_label):
             table.cache_clear()
         calls = Counter()
 
+        class CountedTags(dict):
+            """encode's kind-tag table: read once per label it encodes."""
+
+            def __getitem__(self, kind):
+                if kind is LabelKind.MAIN_SCHEME:
+                    calls["encode"] += 1
+                return super().__getitem__(kind)
+
         def counted(name, fn):
             def wrapper(label):
-                if name != "encode" or label.kind is LabelKind.MAIN_SCHEME:
-                    calls[name] += 1
+                calls[name] += 1
                 return fn(label)
 
             return wrapper
@@ -299,7 +307,7 @@ class TestBatch:
             "from_structured",
             staticmethod(counted("from_structured", MainLabel.from_structured)),
         )
-        monkeypatch.setattr(harness, "encode", counted("encode", harness.encode))
+        monkeypatch.setattr(codec, "_KIND_TAG", CountedTags(codec._KIND_TAG))
         _, ok = run_experiment(sweep)
         assert ok
         trees = [t for _, t, _, _ in config_runs(parse_config(sweep)) if dispatch_protocol(t) == "main"]

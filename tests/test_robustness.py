@@ -5,11 +5,13 @@ A single-field mutation of one node's label must give a run that returns
 (exit 2), never another exception.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiotopo import MalformedLabel, RunFailed
+from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed
 from radiotopo.cli import main as cli_main
 from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree
@@ -100,6 +102,17 @@ def test_count_shares_above_the_degree_fail_the_run(tmp_path, capsys):
     code, err = run_mutated(tmp_path, capsys, random_tree(16, 6, 2), 0, 9, "1" * 16)
     assert code == 1
     assert err.startswith("run failed: node 1, round 86: ")
+
+
+def test_wide_core_size_costs_only_the_slots_reached():
+    # The root's core size as 24 ones puts (2^24 - 1)^2 rounds in its core
+    # gossip window; the run ends at the round budget, not out of memory.
+    labels = LABELS["main"]
+    root = next(v for v, lab in labels.items() if lab.fields[0][0] == "1")
+    start = time.perf_counter()
+    with pytest.raises(RoundLimitExceeded):
+        run_tree(TREES["main"], preset_labels=mutated(labels, root, 10, "1" * 24))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("bits", ["0", "000"])

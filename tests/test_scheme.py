@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_rooted_isomorphic
+from oracles import brute_rooted_isomorphic, extract_subtree
 from radiotopo.generators import random_tree
 from radiotopo.labels import encode
 from radiotopo.scheme import (
@@ -58,23 +58,23 @@ class TestChunk:
 class TestDeriveParams:
     def test_delta_16(self):
         p = derive_params(16)
-        assert p.core_size == 2 and p.catalog_len == 1 and p.block_len == 32
+        assert p.core_size == 2 and len(p.catalog) == 1 and p.block_len == 32
 
     def test_delta_256(self):
         p = derive_params(256)
-        assert p.core_size == 3 and p.catalog_len == 2 and p.block_len == 512
+        assert p.core_size == 3 and len(p.catalog) == 2 and p.block_len == 512
 
     def test_delta_2_16(self):
         p = derive_params(1 << 16)
-        assert p.core_size == 5 and p.catalog_len == 1 + 1 + 2 + 4
-        assert p.catalog_len <= -(-((2 * (1 << 16)) ** 0.5) // 1)
+        assert p.core_size == 5 and len(p.catalog) == 1 + 1 + 2 + 4
+        assert len(p.catalog) <= -(-((2 * (1 << 16)) ** 0.5) // 1)
 
     def test_catalog_bound_holds_generally(self):
         for delta in (3, 8, 16, 256, 1 << 12, 1 << 16, 1 << 20):
             p = derive_params(delta)
-            assert p.catalog_len**2 <= 2 * delta  # q <= sqrt(2*delta)
+            assert len(p.catalog) ** 2 <= 2 * delta  # q <= sqrt(2*delta)
             assert p.block_len >= 2 * delta
-            assert p.block_len >= delta + p.catalog_len * p.core_size + 1
+            assert p.block_len >= delta + len(p.catalog) * p.core_size + 1
 
     def test_rejects_tiny_degree(self):
         with pytest.raises(UnsupportedShape):
@@ -197,7 +197,7 @@ class TestShapes:
                 for w in shapes:
                     if rt.parent[v] == rt.parent[w]:
                         same = brute_rooted_isomorphic(
-                            rt.extract_subtree(v), 0, rt.extract_subtree(w), 0
+                            extract_subtree(rt, v), 0, extract_subtree(rt, w), 0
                         )
                         assert same == (shapes[v] == shapes[w])
 
@@ -205,7 +205,7 @@ class TestShapes:
         lb = label_tree(sample_tree(32, 6, 2))
         cat = lb.params.catalog
         for v, z in lb.truth.shapes.items():
-            sub = lb.rooted.extract_subtree(v)
+            sub = extract_subtree(lb.rooted, v)
             assert brute_rooted_isomorphic(sub, 0, parse_form(cat.forms[z - 1]), 0)
 
 

@@ -10,6 +10,7 @@ from oracles import (
     all_longest_paths,
     brute_placement_valid,
     brute_rooted_isomorphic,
+    extract_subtree,
 )
 from radiotopo.harness import check_run
 from radiotopo.trees import (
@@ -17,14 +18,11 @@ from radiotopo.trees import (
     OrbitInterner,
     Tree,
     TreeError,
-    center,
     classify_heavy,
     core_subtree,
     enumerate_rooted_trees,
-    index_in_sequence,
     parse_form,
     parse_tree_text,
-    placement_valid,
     root_at,
     tree_to_text,
 )
@@ -36,6 +34,11 @@ def path(n):
 
 def star(k):
     return Tree(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def placed(tree, v, out_tree, out_v):
+    """check_run's verdict on the one claim that v is out_v of out_tree."""
+    return check_run(tree, {v: (out_tree, out_v)})[v]
 
 
 @st.composite
@@ -71,31 +74,30 @@ class TestTreeConstruction:
 
 class TestCenter:
     def test_odd_length_path_midpoint(self):
-        assert center(path(5)).node == 2
+        assert path(5).center == (2,)
 
     def test_even_node_path_edge(self):
-        assert center(path(4)).edge == (1, 2)
+        assert path(4).center == (1, 2)
 
     def test_star_center(self):
-        assert center(star(4)).node == 0
+        assert star(4).center == (0,)
 
     @settings(max_examples=60, deadline=None)
     @given(random_trees(max_n=16))
     def test_center_on_every_longest_path(self, tree):
-        c = center(tree)
+        c = tree.center
         for p in all_longest_paths(tree):
-            if c.kind == "node":
-                assert c.node == p[len(p) // 2] or c.node == p[(len(p) - 1) // 2]
-                assert c.node in p
+            if len(c) == 1:
+                assert c[0] == p[len(p) // 2] or c[0] == p[(len(p) - 1) // 2]
+                assert c[0] in p
             else:
                 mid = {p[(len(p) - 1) // 2], p[len(p) // 2]}
-                assert set(c.edge) == mid
+                assert set(c) == mid
 
     @settings(max_examples=40, deadline=None)
     @given(random_trees(max_n=16))
     def test_center_parity_matches_diameter(self, tree):
-        c = center(tree)
-        assert (c.kind == "node") == (tree.diameter % 2 == 0)
+        assert (len(tree.center) == 1) == (tree.diameter % 2 == 0)
 
 
 class TestRootAt:
@@ -165,18 +167,18 @@ class TestCanonicalForms:
     def test_extracted_subtrees_carry_their_forms(self, tree, data):
         rt = root_at(tree, data.draw(st.integers(0, tree.n - 1)))
         for v in range(tree.n):
-            sub = rt.extract_subtree(v)
+            sub = extract_subtree(rt, v)
             assert root_at(sub, 0).form(0) == rt.form(v)
 
 
 class TestPlacement:
     def test_path_endpoints_equivalent(self):
         t = path(3)
-        assert placement_valid(t, 0, t, 2)
+        assert placed(t, 0, t, 2)
 
     def test_endpoint_vs_midpoint(self):
         t = path(3)
-        assert not placement_valid(t, 0, t, 1)
+        assert not placed(t, 0, t, 1)
 
     def test_agrees_with_bijection_oracle(self):
         trees = [path(4), star(3), Tree(5, [(0, 1), (0, 2), (1, 3), (1, 4)]), path(6)]
@@ -184,7 +186,7 @@ class TestPlacement:
             for t2 in trees:
                 for v1 in range(t1.n):
                     for v2 in range(t2.n):
-                        assert placement_valid(t1, v1, t2, v2) == brute_placement_valid(
+                        assert placed(t1, v1, t2, v2) == brute_placement_valid(
                             t1, v1, t2, v2
                         )
 
@@ -193,7 +195,7 @@ class TestPlacement:
     def test_matches_oracle_on_random_pairs(self, tree, data):
         v1 = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
         v2 = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
-        assert placement_valid(tree, v1, tree, v2) == brute_placement_valid(tree, v1, tree, v2)
+        assert placed(tree, v1, tree, v2) == brute_placement_valid(tree, v1, tree, v2)
 
     @settings(max_examples=30, deadline=None)
     @given(random_trees(max_n=40), st.randoms(use_true_random=False))
@@ -216,7 +218,7 @@ class TestPlacement:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_labeled_pair_matches_bijection_oracle(self, n):
-        """Orbit ids, check_run and placement_valid against
+        """Orbit ids, check_run on whole and single claims against
         brute_placement_valid for every pair of (labeled tree, node) on n
         nodes.
 
@@ -226,7 +228,7 @@ class TestPlacement:
         neighbour degrees are equal, which every isomorphism keeps.  With the
         classes known, a verdict on any pair is a verdict on two classes, so
         claims are made against one member of every class, of every shape.
-        placement_valid is checked for n <= 5 only, to bound the run time.
+        Single claims are checked for n <= 5 only, to bound the run time.
         """
         trees = list(all_labeled_trees(n))
         ids = OrbitInterner()
@@ -261,7 +263,7 @@ class TestPlacement:
                 want = {v: class_of[i, v] == c for v in range(n)}
                 assert check_run(tree, {v: (out_tree, out_v) for v in range(n)}) == want
                 if n <= 5:
-                    assert {v: placement_valid(tree, v, out_tree, out_v) for v in range(n)} == want
+                    assert {v: placed(tree, v, out_tree, out_v) for v in range(n)} == want
 
     @pytest.mark.parametrize(
         "tree, orbits",
@@ -289,10 +291,10 @@ class TestPlacement:
             for w in range(tree.n):
                 same = orbit_of[v] == orbit_of[w]
                 assert (sig[v] == sig[w]) == same
-                assert placement_valid(tree, v, copy, tree.n - 1 - w) == same
+                assert placed(tree, v, copy, tree.n - 1 - w) == same
         for v in (0, tree.n - 1):  # one node of each half
             for w in range(tree.n):
-                assert placement_valid(tree, v, copy, w) == brute_placement_valid(tree, v, copy, w)
+                assert placed(tree, v, copy, w) == brute_placement_valid(tree, v, copy, w)
 
     def test_central_edge_needs_both_halves(self):
         # Central edge (0, 4); the halves at 0 and 4 have four nodes and
@@ -302,7 +304,7 @@ class TestPlacement:
         t1 = Tree(8, same + [(4, 7)])
         t2 = Tree(8, same + [(5, 7)])
         for v in range(4):
-            assert not placement_valid(t1, v, t2, v)
+            assert not placed(t1, v, t2, v)
             assert not brute_placement_valid(t1, v, t2, v)
         outputs = {v: (t2, v) for v in range(8)}
         assert not any(check_run(t1, outputs).values())
@@ -402,13 +404,13 @@ class TestIndexInSequence:
     def test_leaf_is_first(self):
         cat = enumerate_rooted_trees(3)
         rt = root_at(path(4), 0)
-        assert index_in_sequence(cat, rt, 3) == 1
+        assert cat.index_of_form(rt.form(3)) == 1
 
     def test_isomorphic_siblings_equal(self):
         cat = enumerate_rooted_trees(3)
         t = Tree(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
         rt = root_at(t, 0)
-        assert index_in_sequence(cat, rt, 1) == index_in_sequence(cat, rt, 2)
+        assert cat.index_of_form(rt.form(1)) == cat.index_of_form(rt.form(2))
 
     def test_position_bound(self):
         cat = enumerate_rooted_trees(7)
@@ -420,4 +422,4 @@ class TestIndexInSequence:
         cat = enumerate_rooted_trees(2)
         rt = root_at(path(5), 0)
         with pytest.raises(NotInCatalog):
-            index_in_sequence(cat, rt, 0)
+            cat.index_of_form(rt.form(0))
