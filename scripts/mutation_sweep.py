@@ -10,7 +10,10 @@ bit dropped, a 0 or a 1 appended, every bit set) and the tree is run with
 those labels.  The degree-share chunk of a main-scheme label (field 2) is
 also set to k ones for each k in WIDE_DEGREE, a degree far too large for
 the label's core size, and its core-size field (field 10) to k ones for
-each k in WIDE_CORE, a gossip window of (2^k - 1)^2 rounds.  A run may end
+each k in WIDE_CORE, a gossip window of (2^k - 1)^2 rounds.  Each main-scheme
+tree also runs with a consistent lie for each k in WIDE_CORE: every label
+says core size k, and the root's first k nodes in BFS order spread a degree
+of 4k one-bits, which fits that core size.  A run may end
 as a valid run, an invalid run (outputs that do not place the nodes), a
 failed run (RunFailed, exit 1 on the command line) or a malformed label
 (MalformedLabel, exit 2).  Any other exception is counted by type: a
@@ -24,6 +27,7 @@ import signal
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 from radiotopo import MalformedLabel, RunFailed
 from radiotopo.generators import random_tree
@@ -31,6 +35,7 @@ from radiotopo.harness import run_tree
 from radiotopo.labels import LabelKind, StructuredLabel
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
+from radiotopo.scheme import bits_of, chunk, label_tree
 from radiotopo.trees import Tree
 
 TREES = {
@@ -76,6 +81,23 @@ def field_mutations(lab: StructuredLabel, i: int) -> list[str]:
     return sorted(set(mutations(lab.fields[i]) + wide) - {lab.fields[i]})
 
 
+def consistent_lies(tree: Tree, labels: dict) -> list[dict]:
+    """One label set per k in WIDE_CORE for a main-scheme tree, none for
+    the others; a tree of fewer than k nodes spreads the degree over all."""
+    if next(iter(labels.values())).kind is not LabelKind.MAIN_SCHEME:
+        return []
+    labeled = label_tree(tree)
+    order = labeled.rooted.subtree_nodes(labeled.rooted.root)
+    lies = []
+    for k in WIDE_CORE:
+        shares = dict(zip(order[:k], chunk("1" * 4 * k, 4)))
+        lies.append({
+            v: replace(lab, degree_share=shares.get(v), core_size_bits=bits_of(k)).to_structured()
+            for v, lab in labeled.labels.items()
+        })
+    return lies
+
+
 def outcome(tree: Tree, labels: dict) -> str:
     signal.setitimer(signal.ITIMER_REAL, RUN_LIMIT_S)
     try:
@@ -110,6 +132,8 @@ def main() -> int:
                     fields = lab.fields[:i] + (new,) + lab.fields[i + 1:]
                     mutated = {**labels, v: StructuredLabel(lab.kind, fields)}
                     counts[outcome(tree, mutated)] += 1
+        for lie in consistent_lies(tree, labels):
+            counts[outcome(tree, lie)] += 1
         print(f"{name}: {sum(counts.values())} mutations, {dict(sorted(counts.items()))}")
         total += counts
     print(f"all: {sum(total.values())} mutations in {time.time() - start:.1f}s")

@@ -5,7 +5,7 @@ commits to transmit or listen (decide), then every listener hears the payload
 of its unique transmitting neighbor, or nothing if zero or several neighbors
 transmitted.  Reception lands in the same round as the transmission, and a
 program is told only of a delivery: hearing nothing calls no method.  Only
-rounds on some node's agenda are stepped; the others are recorded as silent.
+rounds on some node's agenda are stepped; only those with traffic are recorded.
 A run that fails raises RunFailed, naming the node and round when a program
 fails it; any other exception from a program becomes a ProtocolViolation.
 """
@@ -90,9 +90,6 @@ class RoundRecord:
     deliveries: tuple[tuple[int, int], ...]  # (receiver, sender)
 
 
-SILENT = RoundRecord(transmitters=(), deliveries=())  # shared by every silent round
-
-
 def deliveries_of(adjacency: tuple[tuple[int, ...], ...], transmitting) -> list[tuple[int, int]]:
     """Sorted (receiver, sender) for every listener with exactly one neighbor
     in transmitting, a set or dict of the round's transmitters."""
@@ -105,37 +102,37 @@ def deliveries_of(adjacency: tuple[tuple[int, ...], ...], transmitting) -> list[
 
 @dataclass
 class Transcript:
-    records: list[RoundRecord] = field(default_factory=list)
+    """Rounds 1..rounds of a run; records holds, in round order, only the
+    rounds with a transmitter or a delivery, and every other was silent."""
+
+    records: dict[int, RoundRecord] = field(default_factory=dict)
+    rounds: int = 0
     output_round: dict[int, int] = field(default_factory=dict)
 
-    def rounds(self) -> int:
-        return len(self.records)
-
     def to_text(self) -> str:
-        lines = []
-        for i, rec in enumerate(self.records, start=1):
+        lines = [f"R{i} T: D:" for i in range(1, self.rounds + 1)]
+        for i, rec in self.records.items():
             txs = ",".join(str(t) for t in rec.transmitters)
             dls = ",".join(f"{rx}<-{tx}" for rx, tx in rec.deliveries)
-            lines.append(f"R{i} T:{txs} D:{dls}")
+            lines[i - 1] = f"R{i} T:{txs} D:{dls}"
         for node in sorted(self.output_round):
             lines.append(f"OUT {node} {self.output_round[node]}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "Transcript":
-        records = []
-        output_round = {}
+        transcript = Transcript()
         for ln in text.splitlines():
             ln = ln.strip()
             if not ln:
                 continue
             if ln.startswith("OUT "):
                 _, node, rnd = ln.split()
-                output_round[int(node)] = int(rnd)
+                transcript.output_round[int(node)] = int(rnd)
                 continue
-            head = f"R{len(records) + 1}"
+            transcript.rounds += 1
+            head = f"R{transcript.rounds}"
             if ln == head + " T: D:":
-                records.append(SILENT)
                 continue
             parts = ln.split(" ")
             if len(parts) != 3 or parts[0] != head or parts[1][:2] != "T:" or parts[2][:2] != "D:":
@@ -147,8 +144,9 @@ class Transcript:
                 if item:
                     rx, tx = item.split("<-")
                     dls.append((int(rx), int(tx)))
-            records.append(RoundRecord(transmitters=txs, deliveries=tuple(dls)))
-        return Transcript(records=records, output_round=output_round)
+            if txs or dls:
+                transcript.records[transcript.rounds] = RoundRecord(txs, tuple(dls))
+        return transcript
 
 
 @dataclass
@@ -191,13 +189,11 @@ def simulate(
     for v in range(tree.n):
         queue(v, programs[v].new_rounds, 0)
     transcript = Transcript()
-    total_tx = 0
     pending = set(range(tree.n))
     while pending and heap and heap[0] <= max_rounds:
         round_no = heapq.heappop(heap)
         called = sorted(due.pop(round_no))
         payloads: dict[int, object] = {}
-        record = SILENT
         # One handler for every program call of the round; v is the caller.
         try:
             for v in called:
@@ -215,14 +211,13 @@ def simulate(
                     if program.new_rounds:
                         queue(v, program.new_rounds, round_no)
                 called.extend(v for v, _ in deliveries)
-                record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
+                transcript.records[round_no] = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
         except RunFailed as exc:
             exc.args = (f"node {v}, round {round_no}: {exc}",)
             raise
         except Exception as exc:
             raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
-        total_tx += len(payloads)
-        transcript.records += [SILENT] * (round_no - 1 - transcript.rounds()) + [record]
+        transcript.rounds = round_no
         for v in called:
             if v in pending and programs[v].output is not None:
                 transcript.output_round[v] = round_no
@@ -232,7 +227,7 @@ def simulate(
     outputs = {v: programs[v].output for v in range(tree.n)}
     metrics = Metrics(
         completion_round=max(transcript.output_round.values()),
-        total_transmissions=total_tx,
+        total_transmissions=sum(len(rec.transmitters) for rec in transcript.records.values()),
     )
     return outputs, transcript, metrics
 

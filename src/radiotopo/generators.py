@@ -181,12 +181,13 @@ def family_diam_lb(diameter: int, delta: int, seed: int, count: int) -> list[Tre
         bush_root = handle
         edges.append((handle - 1, bush_root))
         frontier, n = _regular_bush(edges, bush_root, bush_root + 1, delta - 1, half - 1)
+        # Tips below the first and the last level-1 node: their path crosses the bush root.
         tips = []
-        for special in frontier[:2]:
+        for special in (frontier[0], frontier[-1]):
             edges.append((special, n))
             tips.append(n)
             n += 1
-        for v in frontier[2:]:
+        for v in frontier[1:-1]:
             for _ in range(rng.randint(0, delta - 1)):
                 edges.append((v, n))
                 n += 1

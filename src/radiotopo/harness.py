@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import product
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
@@ -103,28 +103,20 @@ def check_tr_delivery(
     parent = labeled.rooted.parent
     root = labeled.rooted.root
     violations = []
-    for round_no in range(lo, min(hi, transcript.rounds()) + 1):
-        rec = transcript.records[round_no - 1]
-        delivered = set(rec.deliveries)
-        for tx in rec.transmitters:
-            if tx == root:
-                continue
-            if (parent[tx], tx) not in delivered:
-                violations.append((round_no, tx))
+    for round_no, rec in transcript.records.items():
+        if lo <= round_no <= hi:
+            delivered = set(rec.deliveries)
+            violations += [(round_no, tx) for tx in rec.transmitters
+                           if tx != root and (parent[tx], tx) not in delivered]
     return violations
 
 
 def check_mod3(transcript: Transcript, line_labels: dict) -> list[int]:
     """Rounds in which transmitters straddle more than one residue class."""
     bad = []
-    for round_no, rec in enumerate(transcript.records, start=1):
-        residues = set()
-        for tx in rec.transmitters:
-            lab = line_labels[tx]
-            if lab.kind.value == "LineTiny":
-                residues.add(-1)
-            else:
-                residues.add(lab.pos_mod3)
+    for round_no, rec in transcript.records.items():
+        labs = [line_labels[tx] for tx in rec.transmitters]
+        residues = {-1 if lab.kind.value == "LineTiny" else lab.pos_mod3 for lab in labs}
         if len(residues) > 1:
             bad.append(round_no)
     return bad
@@ -139,7 +131,7 @@ def _main_checks(transcript: Transcript, labeled: LabeledTree):
         "round_bound": max(transcript.output_round.values(), default=0) <= windows["assemble"][1],
         "phase_windows": all(
             not rec.transmitters or any(lo <= rnd <= hi for lo, hi in spans)
-            for rnd, rec in enumerate(transcript.records, start=1)
+            for rnd, rec in transcript.records.items()
         ),
     }
     return checks, windows
@@ -300,10 +292,14 @@ def recording_faults(
         return [f"labels do not fit the tree: {exc}"]
     rep = replay.report
     faults = [f"{rep.protocol} check {name} failed" for name, good in rep.checks.items() if not good]
-    pairs = enumerate(zip_longest(transcript.records, replay.transcript.records), start=1)
-    differs = next((f"round {rnd}" for rnd, (got, want) in pairs if got != want), None)
-    if differs or transcript.output_round != replay.transcript.output_round:
-        faults.append(f"transcript differs from the replay at {differs or 'OUT'}")
+    got, want = transcript, replay.transcript
+    differs = [r for r in got.records.keys() | want.records.keys()
+               if got.records.get(r) != want.records.get(r)]
+    if got.rounds != want.rounds:  # the first round only one of them has
+        differs.append(min(got.rounds, want.rounds) + 1)
+    if differs or got.output_round != want.output_round:
+        where = f"round {min(differs)}" if differs else "OUT"
+        faults.append(f"transcript differs from the replay at {where}")
     verdicts = check_run(tree, outputs)
     invalid = sorted(v for v, good in verdicts.items() if not good)
     if invalid:

@@ -306,7 +306,6 @@ class MainProgram(NodeProgram):
 
     def _send_subtree(self, epoch_start: int, round_no: int) -> Optional[tuple]:
         """Collection step at the node's epoch start: send now or schedule it."""
-        e = self.params.block_len
         lab = self.label
         if lab.marker(MARK_HEAVY):
             self.my_subtree = aggregate_children(self.tr_received, self.delta)
@@ -317,19 +316,26 @@ class MainProgram(NodeProgram):
                 self.slot = echoes[0]
             tx_round = epoch_start - 1 + self.slot
             message = ("subtree", lab, self.my_subtree, self.slot)
+            action = lambda _round: message
         else:
-            forms = self.params.catalog.forms
             if self.shape_index is None:
                 raise ProtocolViolation("light sender has no decoded shape index")
-            if not 1 <= self.shape_index <= len(forms):
+            if self.shape_index < 1:
                 raise ProtocolViolation(f"shape index {self.shape_index} outside the catalog")
-            shape = forms[self.shape_index - 1]
-            offset = e + (self.shape_index - 1) * self.m + lab.count_share[0]
+            offset = self.params.block_len + (self.shape_index - 1) * self.m + lab.count_share[0]
             tx_round = epoch_start - 1 + offset
-            message = ("subtree", lab, Subtree(shape, shape), 0)
+            action = self._send_shape
         if tx_round == round_no:
-            return message
-        self.send(tx_round, message)
+            return action(round_no)
+        self.at(tx_round, action)
+
+    def _send_shape(self, round_no: int) -> tuple:
+        """A light sender's message; the catalog is read only in the round it is sent."""
+        forms = self.params.catalog.forms
+        if self.shape_index > len(forms):
+            raise ProtocolViolation(f"shape index {self.shape_index} outside the catalog")
+        shape = forms[self.shape_index - 1]
+        return ("subtree", self.label, Subtree(shape, shape), 0)
 
     def _assemble(self, round_no: int) -> tuple:
         self.my_subtree = aggregate_children(self.tr_received, self.delta)

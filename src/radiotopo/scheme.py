@@ -16,7 +16,7 @@ that, at protocol time, each group can reassemble its integer by gossip:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .engine import MissingChunk
@@ -94,8 +94,12 @@ class SchemeParams:
 
     delta: int
     core_size: int  # m: size of the spreading groups
-    catalog: ShapeCatalog  # shapes of size < core_size; q = len(catalog)
     block_len: int  # E: half-epoch length; an epoch is 2*block_len rounds
+
+    @cached_property
+    def catalog(self) -> ShapeCatalog:
+        """Shapes of size < core_size, q = len(catalog); built on first read."""
+        return enumerate_rooted_trees(self.core_size - 1)
 
 
 def core_size_for(delta: int) -> int:
@@ -106,13 +110,11 @@ def core_size_for(delta: int) -> int:
 @lru_cache(maxsize=64)
 def derive_params(delta: int) -> SchemeParams:
     """The scheme's constants for maximum degree delta.  They depend on delta
-    alone, so equal degrees share one SchemeParams and one catalog."""
+    alone, so equal degrees share one SchemeParams and one catalog.  E = 2*delta
+    covers the light senders' delta + q*m + 1: q <= 4^(m-1), delta >= 16^(m-1)."""
     if delta < 3:
         raise UnsupportedShape("scheme needs maximum degree >= 3")
-    m = core_size_for(delta)
-    catalog = enumerate_rooted_trees(m - 1)
-    block = max(2 * delta, delta + len(catalog) * m + 1)
-    return SchemeParams(delta=delta, core_size=m, catalog=catalog, block_len=block)
+    return SchemeParams(delta=delta, core_size=core_size_for(delta), block_len=2 * delta)
 
 
 @dataclass(frozen=True)

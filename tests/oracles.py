@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from radiotopo.engine import (
-    SILENT,
     Metrics,
     ProtocolViolation,
     RoundLimitExceeded,
@@ -130,9 +129,8 @@ def history_of(transcript: Transcript, tree: Tree, target: int, tau: int) -> fro
     that a chain from v to target can begin at round t.
     """
     latest_start: dict[int, float] = {target: float("inf")}
-    limit = min(tau, len(transcript.records))
-    for t in range(limit, 0, -1):
-        for rx, tx in transcript.records[t - 1].deliveries:
+    for t in sorted((r for r in transcript.records if r <= tau), reverse=True):
+        for rx, tx in transcript.records[t].deliveries:
             if latest_start.get(rx, 0) > t and latest_start.get(tx, 0) < t:
                 latest_start[tx] = t
     return frozenset(latest_start)
@@ -160,8 +158,9 @@ def brute_history(transcript, tree: Tree, target: int, tau: int) -> frozenset:
         ok = True
         for a, b in zip(path, path[1:]):
             nxt = None
-            for round_no in range(t + 1, min(tau, len(transcript.records)) + 1):
-                if (b, a) in transcript.records[round_no - 1].deliveries:
+            for round_no in range(t + 1, min(tau, transcript.rounds) + 1):
+                rec = transcript.records.get(round_no)
+                if rec is not None and (b, a) in rec.deliveries:
                     nxt = round_no
                     break
             if nxt is None:
@@ -210,11 +209,9 @@ def polling_simulate(tree: Tree, programs: dict, max_rounds: int):
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     transcript = Transcript()
-    total_tx = 0
     pending = set(range(tree.n))
     for round_no in range(1, max_rounds + 1):
         payloads = {}
-        record = SILENT
         try:
             for v in range(tree.n):
                 msg = programs[v].decide(round_no)
@@ -224,14 +221,13 @@ def polling_simulate(tree: Tree, programs: dict, max_rounds: int):
                 deliveries = deliveries_of(tree.adjacency, payloads)
                 for v, w in deliveries:
                     programs[v].receive(round_no, payloads[w])
-                record = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
+                transcript.records[round_no] = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
         except RunFailed as exc:
             exc.args = (f"node {v}, round {round_no}: {exc}",)
             raise
         except Exception as exc:
             raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
-        total_tx += len(payloads)
-        transcript.records.append(record)
+        transcript.rounds = round_no
         for v in list(pending):
             if programs[v].output is not None:
                 transcript.output_round[v] = round_no
@@ -243,6 +239,6 @@ def polling_simulate(tree: Tree, programs: dict, max_rounds: int):
     outputs = {v: programs[v].output for v in range(tree.n)}
     metrics = Metrics(
         completion_round=max(transcript.output_round.values()),
-        total_transmissions=total_tx,
+        total_transmissions=sum(len(rec.transmitters) for rec in transcript.records.values()),
     )
     return outputs, transcript, metrics

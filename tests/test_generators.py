@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from radiotopo.generators import (
@@ -97,6 +99,10 @@ class TestLowerBoundFamilies:
         for delta, diameter in [(3, 8), (4, 6), (3, 13)]:
             for t in family_diam_lb(diameter, delta, seed=1, count=2):
                 assert t.diameter == diameter and t.max_degree == delta
+        # The tips once shared a level-1 node for some seeds (diameter 5 for 6).
+        for delta, diameter, seed in product(range(3, 7), range(4, 10), range(1, 7)):
+            for t in family_diam_lb(diameter, delta, seed=seed, count=2):
+                assert (t.diameter, t.max_degree) == (diameter, delta)
 
     def test_deg_lb_exact_and_leaf_ranges(self):
         trees = family_deg_lb(6, 4, seed=1, count=3)

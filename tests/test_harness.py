@@ -142,8 +142,8 @@ class TestTrDelivery:
         v = next(
             u for u in range(t.n) if rt.parent[u] is not None and rt.parent[u] != rt.root
         )
-        records = list(art.transcript.records)
-        records[lo - 1] = RoundRecord(transmitters=(v,), deliveries=())
+        records = {**art.transcript.records, lo: RoundRecord(transmitters=(v,), deliveries=())}
+        records = dict(sorted(records.items()))  # in round order, as the engine records them
         broken = dataclasses.replace(art.transcript, records=records)
         assert check_tr_delivery(broken, art.labeled, (lo, hi)) == [(lo, v)]
 
@@ -489,6 +489,28 @@ class TestCli:
         capsys.readouterr()
         assert self.verify(files) == 1
         assert capsys.readouterr().out == "transcript differs from the replay at round 1\nverify: fail\n"
+
+    @pytest.mark.parametrize(
+        "tree, change",
+        [(path_tree(3), "extra"), (path_tree(3), "missing"), (random_tree(8, 6, 1), "extra")],
+    )
+    def test_verify_counts_the_silent_rounds(self, tmp_path, capsys, tree, change):
+        # path_tree(3) runs one round, in which nobody transmits.
+        files = self.record(tmp_path, tree)
+        transcript = tmp_path / "t.transcript"
+        lines = transcript.read_text().splitlines()
+        rounds = [ln for ln in lines if ln.startswith("R")]
+        outs = [ln for ln in lines if ln.startswith("OUT ")]
+        if change == "extra":
+            rounds.append(f"R{len(rounds) + 1} T: D:")
+            where = len(rounds)
+        else:
+            where = len(rounds)
+            assert rounds.pop() == f"R{where} T: D:"
+        transcript.write_text("\n".join(rounds + outs) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == f"transcript differs from the replay at round {where}\nverify: fail\n"
 
     def test_verify_rejects_a_forged_transcript(self, tmp_path, capsys):
         # Radio-model-valid, with the real labels and outputs: only a replay

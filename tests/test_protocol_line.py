@@ -132,7 +132,7 @@ class TestProtocol:
 
     def test_single_residue_per_round(self):
         labels, outputs, transcript, _ = run_line(50)
-        for rec in transcript.records:
+        for rec in transcript.records.values():
             residues = {(tx + 1) % 3 for tx in rec.transmitters}
             assert len(residues) <= 1
 
@@ -140,8 +140,9 @@ class TestProtocol:
         labels, outputs, transcript, _ = run_line(30)
         from radiotopo.engine import RoundRecord
 
-        bad = transcript.records + [RoundRecord(transmitters=(0, 1), deliveries=())]
+        extra = transcript.rounds + 1
+        bad = {**transcript.records, extra: RoundRecord(transmitters=(0, 1), deliveries=())}
         import dataclasses
 
-        broken = dataclasses.replace(transcript, records=bad)
+        broken = dataclasses.replace(transcript, records=bad, rounds=extra)
         assert check_mod3(broken, labels)

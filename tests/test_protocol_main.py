@@ -305,6 +305,22 @@ class TestDecodeShares:
         ):
             run_tree(tree, preset_labels=labels)
 
+    def test_shape_index_above_the_catalog_fails_in_the_round_it_sends(self):
+        # Node 8's shape chunk "11" makes its group decode shape index 3, above
+        # q = 2 for core size 3; the catalog is read only when node 8 sends.
+        tree = random_tree(256, 6, 1)
+        labels = dict(run_tree(tree).structured)
+        fields = list(labels[8].fields)
+        fields[7] = "11"
+        labels[8] = StructuredLabel(labels[8].kind, tuple(fields))
+        lb = label_tree(tree)
+        m, h, e = lb.params.core_size, lb.rooted.height, lb.params.block_len
+        epoch = phase_windows(m, h, e)["collect"][0] + (h - lb.rooted.level[8]) * 2 * e
+        sends = epoch - 1 + e + (3 - 1) * m + int(fields[8], 2)
+        with pytest.raises(
+            ProtocolViolation, match=rf"^node 8, round {sends}: shape index 3 outside the catalog$"
+        ):
+            run_tree(tree, preset_labels=labels)
 
     def test_light_sender_without_a_decoded_shape_index_fails_the_run(self):
         # Node 0's empty shape-share id keeps it out of its shape gossip
@@ -420,8 +436,9 @@ class TestEndToEnd:
         lb, programs, _, transcript, _ = run_main(tree)
         m2 = lb.params.core_size**2
         core = {v for v, lab in lb.labels.items() if lab.degree_share is not None}
-        for r in range(1, m2 + 1):
-            assert set(transcript.records[r - 1].transmitters) <= core
+        for r, rec in transcript.records.items():
+            if r <= m2:
+                assert set(rec.transmitters) <= core
 
     def test_heavy_slots_match_ground_truth(self):
         for seed in (1, 2):
@@ -473,7 +490,7 @@ class TestEndToEnd:
         tree = random_tree(16, 6, 4)
         art = run_tree(tree)
         windows = sorted(art.windows.values())
-        for round_no, rec in enumerate(art.transcript.records, start=1):
+        for round_no, rec in art.transcript.records.items():
             if rec.transmitters:
                 assert any(lo <= round_no <= hi for lo, hi in windows)
 

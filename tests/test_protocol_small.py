@@ -109,7 +109,7 @@ class TestD3Protocol:
         labels = label_d3(t)
         outputs, transcript, metrics = run(t, d3_programs(labels))
         carriers = {v for v, lab in labels.items() if lab.kind is LabelKind.D3_LEAF}
-        for rec in transcript.records:
+        for rec in transcript.records.values():
             for tx in rec.transmitters:
                 if tx in carriers:
                     hub = t.adjacency[tx][0]

@@ -5,19 +5,21 @@ A single-field mutation of one node's label must give a run that returns
 (exit 2), never another exception.
 """
 
+import dataclasses
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed
+from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed, protocol_main
 from radiotopo.cli import main as cli_main
 from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree
 from radiotopo.labels import StructuredLabel, labels_to_text
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
+from radiotopo.scheme import bits_of, chunk, derive_params, label_tree
 from radiotopo.trees import Tree, tree_to_text
 
 # One small tree per label kind: tiny line, line, star, two-hub, main.
@@ -113,6 +115,28 @@ def test_wide_core_size_costs_only_the_slots_reached():
     with pytest.raises(RoundLimitExceeded):
         run_tree(TREES["main"], preset_labels=mutated(labels, root, 10, "1" * 24))
     assert time.perf_counter() - start < 1.0
+
+
+def test_consistent_core_size_and_degree_lie_fails_before_the_catalog(monkeypatch):
+    # Every label says core size 16 and the root's 16-node core spells a
+    # 64-bit degree, which fits that core size, so the root accepts it.  A
+    # catalog for that degree lists every rooted tree of up to 15 nodes.
+    derived = []
+    monkeypatch.setattr(
+        protocol_main, "derive_params", lambda delta: derived.append(delta) or derive_params(delta)
+    )
+    labeled = label_tree(TREES["main"])
+    core = labeled.rooted.subtree_nodes(labeled.rooted.root)[:16]
+    shares = dict(zip(core, chunk("1" * 64, 4)))
+    labels = {
+        v: dataclasses.replace(lab, degree_share=shares.get(v), core_size_bits=bits_of(16))
+        for v, lab in labeled.labels.items()
+    }
+    start = time.perf_counter()
+    with pytest.raises(RunFailed):
+        run_tree(TREES["main"], preset_labels={v: lab.to_structured() for v, lab in labels.items()})
+    assert time.perf_counter() - start < 1.0
+    assert (1 << 64) - 1 in derived
 
 
 @pytest.mark.parametrize("bits", ["0", "000"])
