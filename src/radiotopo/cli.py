@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import RunFailed, Transcript
+from .engine import RunFailed
 from .generators import FAMILIES, GenSpec, InfeasibleFamily, generate
 # check_mod3 and check_run are not called here; they stay importable from
 # this module because perfbench/spans.py wraps them at cli.<name>.
@@ -20,6 +20,7 @@ from .harness import (  # noqa: F401
     check_mod3,
     check_run,
     dispatch_protocol,
+    outputs_to_text,
     pigeonhole_certificate,
     recording_faults,
     run_experiment,
@@ -42,6 +43,8 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         count=args.count,
     )
+    if spec.count < 1:
+        raise ValueError(f"--count must be at least 1, not {spec.count}")
     trees = generate(spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -68,13 +71,7 @@ def _cmd_run(args) -> int:
     if args.transcript:
         Path(args.transcript).write_text(art.transcript.to_text())
     if args.outputs:
-        # Each distinct output tree object is formatted once.
-        distinct = {id(t): t for t, _ in art.outputs.values()}
-        texts = {k: f"{t.n} " + ",".join(f"{u}-{v}" for u, v in t.edges)
-                 for k, t in distinct.items()}
-        lines = [f"{node} {place} {texts[id(t)]}"
-                 for node, (t, place) in sorted(art.outputs.items())]
-        Path(args.outputs).write_text("\n".join(lines) + "\n")
+        Path(args.outputs).write_text(outputs_to_text(art.outputs))
     rep = art.report
     print(CSV_HEADER)
     print(rep.csv_row())
@@ -88,32 +85,12 @@ def _cmd_batch(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_outputs(text: str):
-    """Lines "<node> <place> <n> <u>-<v>,...".  Lines with the same
-    "<n> <edges>" text share one Tree, built and validated once."""
-    outputs = {}
-    trees: dict[tuple[str, str], Tree] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        fields = ln.split()
-        if len(fields) == 3:  # a one-node tree has no edges
-            fields.append("")
-        node_s, place_s, n_s, edge_s = fields
-        if (n_s, edge_s) not in trees:
-            edges = [tuple(map(int, item.split("-"))) for item in edge_s.split(",") if item]
-            trees[n_s, edge_s] = Tree(int(n_s), edges)
-        outputs[int(node_s)] = (trees[n_s, edge_s], int(place_s))
-    return outputs
-
-
 def _cmd_verify(args) -> int:
     tree = _load_tree(args.tree)
     structured = labels_from_text(Path(args.labels).read_text())
-    transcript = Transcript.from_text(Path(args.transcript).read_text())
-    outputs = _parse_outputs(Path(args.outputs).read_text())
-    faults = recording_faults(tree, structured, transcript, outputs)
+    # Undecodable bytes cannot match the replay's text, so they fail verify.
+    recorded = [Path(p).read_text(errors="replace") for p in (args.transcript, args.outputs)]
+    faults = recording_faults(tree, structured, *recorded)
     for fault in faults:
         print(fault)
     print("verify: " + ("fail" if faults else "pass"))

@@ -119,35 +119,6 @@ class Transcript:
             lines.append(f"OUT {node} {self.output_round[node]}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text: str) -> "Transcript":
-        transcript = Transcript()
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("OUT "):
-                _, node, rnd = ln.split()
-                transcript.output_round[int(node)] = int(rnd)
-                continue
-            transcript.rounds += 1
-            head = f"R{transcript.rounds}"
-            if ln == head + " T: D:":
-                continue
-            parts = ln.split(" ")
-            if len(parts) != 3 or parts[0] != head or parts[1][:2] != "T:" or parts[2][:2] != "D:":
-                raise ValueError(f"transcript line {ln!r} is not '{head} T:... D:...'")
-            _, tpart, dpart = parts
-            txs = tuple(int(x) for x in tpart[2:].split(",") if x)
-            dls = []
-            for item in dpart[2:].split(","):
-                if item:
-                    rx, tx = item.split("<-")
-                    dls.append((int(rx), int(tx)))
-            if txs or dls:
-                transcript.records[transcript.rounds] = RoundRecord(txs, tuple(dls))
-        return transcript
-
 
 @dataclass
 class Metrics:

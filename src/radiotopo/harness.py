@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from typing import Callable, Optional
 
 from . import protocol_line, protocol_main, protocol_small
@@ -271,15 +271,30 @@ def preset_context(tree: Tree, labels: dict[int, StructuredLabel]) -> tuple[str,
     return owners[0], PROTOCOLS[owners[0]].context(tree, labels)
 
 
+def outputs_to_text(outputs: dict[int, tuple[Tree, int]]) -> str:
+    """One line "<node> <place> <n> <u>-<v>,..." per node, in node order;
+    each distinct output tree object is formatted once and shared by its lines."""
+    distinct = {id(t): t for t, _ in outputs.values()}
+    texts = {k: f"{t.n} " + ",".join(f"{u}-{v}" for u, v in t.edges) for k, t in distinct.items()}
+    return "".join(part for node, (t, place) in sorted(outputs.items())
+                   for part in (f"{node} {place} ", texts[id(t)], "\n"))
+
+
+def _first_difference(got: str, want: str) -> tuple[int, str]:
+    """Index and text ("" if none) of the first line of got that is not want's."""
+    pairs = zip_longest(got.split("\n"), want.split("\n"))
+    return next((i, a or "") for i, (a, b) in enumerate(pairs) if a != b)
+
+
 def recording_faults(
     tree: Tree,
     labels: dict[int, StructuredLabel],
-    transcript: Transcript,
-    outputs: dict[int, tuple[Tree, int]],
+    transcript_text: str,
+    outputs_text: str,
 ) -> list[str]:
     """Why a recorded run fails; empty when it passes.  The run is replayed
-    from the tree and the labels, and the recorded transcript must be the
-    replay's; a malformed label raises MalformedLabel, as for a run."""
+    from the tree and the labels; each recorded file must be the replay's text
+    line for line.  A malformed label raises MalformedLabel, as for a run."""
     if labels.keys() != set(range(tree.n)):
         return [f"labels are not for the nodes 0..{tree.n - 1} of the tree"]
     try:
@@ -292,16 +307,19 @@ def recording_faults(
         return [f"labels do not fit the tree: {exc}"]
     rep = replay.report
     faults = [f"{rep.protocol} check {name} failed" for name, good in rep.checks.items() if not good]
-    got, want = transcript, replay.transcript
-    differs = [r for r in got.records.keys() | want.records.keys()
-               if got.records.get(r) != want.records.get(r)]
-    if got.rounds != want.rounds:  # the first round only one of them has
-        differs.append(min(got.rounds, want.rounds) + 1)
-    if differs or got.output_round != want.output_round:
-        where = f"round {min(differs)}" if differs else "OUT"
+    want = replay.transcript.to_text()
+    if transcript_text != want:
+        i, line = _first_difference(transcript_text, want)
+        where = f"round {i + 1}" if i < replay.transcript.rounds or line[:1] == "R" else "OUT"
         faults.append(f"transcript differs from the replay at {where}")
-    verdicts = check_run(tree, outputs)
-    invalid = sorted(v for v, good in verdicts.items() if not good)
+    want = outputs_to_text(replay.outputs)
+    if outputs_text != want:
+        # Line i is node i's (the last node's past the end) unless it names an earlier node.
+        i, line = _first_difference(outputs_text, want)
+        head = line.split(" ", 1)[0]
+        named = int(head) if head.isdecimal() and len(head) <= len(str(tree.n)) else i
+        faults.append(f"outputs differ from the replay at node {min(i, tree.n - 1, named)}")
+    invalid = sorted(v for v, good in rep.node_valid.items() if not good)
     if invalid:
         faults.append(f"invalid placements: {invalid}")
     return faults
@@ -444,8 +462,8 @@ class PigeonholeCertificate:
 
 
 def pigeonhole_certificate(delta: int, label_bits: int) -> PigeonholeCertificate:
-    if delta < 4:
-        raise ValueError("need delta >= 4")
+    if delta < 4 or label_bits < 0:
+        raise ValueError("need delta >= 4 and label_bits >= 0")
     log2_views = 2 * (label_bits + 1) + 2 ** (label_bits + 2)
     family_size = -(-delta // 2)
     separable = log2_views >= (family_size - 1).bit_length()

@@ -145,5 +145,8 @@ def labels_from_text(text: str) -> dict[int, StructuredLabel]:
         label = decode(bits)
         if label.kind.value != kind_name:
             raise MalformedLabel(f"kind mismatch on line {ln!r}")
-        out[int(node_s)] = label
+        node = int(node_s)
+        if node in out:
+            raise MalformedLabel(f"node {node}: more than one label line")
+        out[node] = label
     return out

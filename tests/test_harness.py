@@ -1,11 +1,11 @@
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
 
 from radiotopo import harness, scheme
 from radiotopo import labels as codec
-from radiotopo.cli import _parse_outputs
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import RoundRecord
 from radiotopo.generators import family_feasibility, random_tree
@@ -16,6 +16,7 @@ from radiotopo.harness import (
     check_tr_delivery,
     config_runs,
     dispatch_protocol,
+    outputs_to_text,
     parse_config,
     pigeonhole_certificate,
     run_experiment,
@@ -546,24 +547,108 @@ class TestCli:
         assert self.verify(files) == 1
         assert capsys.readouterr().out == "transcript differs from the replay at OUT\nverify: fail\n"
 
-    def test_parse_outputs_shares_identical_trees(self, tmp_path):
+    def test_outputs_text_formats_each_tree_once(self, tmp_path, capsys):
+        class Counted:
+            n, reads = 3, 0
+
+            @property
+            def edges(self):
+                Counted.reads += 1
+                return ((0, 1), (1, 2))
+
+        shared = Counted()
+        assert outputs_to_text({v: (shared, v) for v in (2, 0, 1)}) == (
+            "0 0 3 0-1,1-2\n1 1 3 0-1,1-2\n2 2 3 0-1,1-2\n"
+        )
+        assert Counted.reads == 1
         files = self.record(tmp_path, path_tree(6))
         outputs = tmp_path / "t.outputs"
         lines = outputs.read_text().splitlines()
-        parsed = _parse_outputs("\n".join(lines))
-        assert len({id(t) for t, _ in parsed.values()}) == 1
+        assert lines[0] == "0 0 7 0-1,1-2,2-3,3-4,4-5,5-6"
         # Node 0 claims an end of a six-node star instead.
         lines[0] = "0 1 6 0-1,0-2,0-3,0-4,0-5"
-        parsed = _parse_outputs("\n".join(lines))
-        assert parsed[0][0] is not parsed[1][0]
-        assert parsed[1][0] is parsed[5][0]
         outputs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         assert self.verify(files) == 1
+        assert capsys.readouterr().out == "outputs differ from the replay at node 0\nverify: fail\n"
 
-    def test_verify_bad_transcript_exit_2(self, tmp_path):
+    def test_verify_bad_transcript_exit_1(self, tmp_path, capsys):
+        # A transcript that is not the replay's text is a failed verify (exit
+        # 1), however it is spelled; nothing parses it, so it is no usage error.
         files = self.record(tmp_path, path_tree(6))
         (tmp_path / "t.transcript").write_text("X1 T: D:\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == "transcript differs from the replay at round 1\nverify: fail\n"
+
+    @pytest.mark.parametrize(
+        "kind, fault",
+        [
+            ("transcript", "transcript differs from the replay at round 1"),
+            ("outputs", "outputs differ from the replay at node 0"),
+        ],
+    )
+    def test_verify_fails_undecodable_recorded_bytes(self, tmp_path, capsys, kind, fault):
+        files = self.record(tmp_path, path_tree(6))
+        (tmp_path / f"t.{kind}").write_bytes(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == f"{fault}\nverify: fail\n"
+
+    @pytest.mark.parametrize("where", ["first", "second", "last"])
+    def test_verify_rejects_a_second_outputs_line_for_a_node(self, tmp_path, capsys, where):
+        # random_tree(6, 5, 2) has 17 nodes; node 0's own place is 3.
+        files = self.record(tmp_path, random_tree(6, 5, 2))
+        outputs = tmp_path / "t.outputs"
+        lines = outputs.read_text().splitlines()
+        assert lines[0].startswith("0 3 17 ")
+        wrong = "0 0 " + lines[0].split(" ", 2)[2]
+        at = {"first": 0, "second": 1, "last": len(lines)}[where]
+        outputs.write_text("\n".join(lines[:at] + [wrong] + lines[at:]) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == "outputs differ from the replay at node 0\nverify: fail\n"
+
+    @pytest.mark.parametrize("where", ["next", "last"])
+    def test_verify_rejects_a_repeated_out_line(self, tmp_path, capsys, where):
+        files = self.record(tmp_path, random_tree(6, 5, 2))
+        transcript = tmp_path / "t.transcript"
+        lines = transcript.read_text().splitlines()
+        first_out = next(i for i, ln in enumerate(lines) if ln.startswith("OUT "))
+        at = first_out + 1 if where == "next" else len(lines)
+        lines.insert(at, lines[first_out])
+        transcript.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == "transcript differs from the replay at OUT\nverify: fail\n"
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_repeated_label_lines_for_a_node_are_a_usage_error(self, tmp_path, capsys, where):
+        files = self.record(tmp_path, random_tree(6, 5, 2))
+        labels = tmp_path / "t.labels"
+        lines = labels.read_text().splitlines()
+        copy = "0 " + lines[1].split(" ", 1)[1]  # node 1's label, given to node 0
+        lines = [copy] + lines if where == "first" else lines + [copy]
+        labels.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         assert self.verify(files) == 2
+        assert "node 0: more than one label line" in capsys.readouterr().err
+        assert cli_main(["run", "--tree", files["tree"], "--labels", files["labels"]]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["bounds", "--delta", "16", "--label-bits", "-5"], "label_bits >= 0"),
+            (["gen", "--family", "random", "--count", "-2"], "--count must be at least 1, not -2"),
+            (["gen", "--family", "random", "--count", "0"], "--count must be at least 1, not 0"),
+        ],
+    )
+    def test_integers_out_of_range_are_usage_errors(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "trees"
+        extra = ["--delta", "3", "--diameter", "4", "--out", str(out)] if argv[0] == "gen" else []
+        assert cli_main(argv + extra) == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_detects_tampered_outputs(self, tmp_path):
         tree_file = tmp_path / "t.tree"
@@ -594,3 +679,58 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["transcript", "outputs"])
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            path_tree(12),
+            Tree(9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (1, 7), (0, 8)]),
+            random_tree(6, 5, 2),
+        ],
+        ids=["line", "two_hub", "main"],
+    )
+    def test_verify_fails_every_edit_of_a_recorded_line(self, tmp_path, capsys, tree, kind):
+        # 34 seeded edits per file: delete, duplicate, swap or alter one line.
+        files = self.record(tmp_path, tree)
+        recorded = tmp_path / f"t.{kind}"
+        honest = recorded.read_text()
+        old = honest.splitlines()
+        rounds = sum(ln.startswith("R") for ln in old)
+        rng = random.Random(f"{tree.n}-{kind}")
+        failed = 0
+        for _ in range(34):
+            lines = list(old)
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines) + 1)
+            edit = rng.choice(["delete", "duplicate", "swap", "alter"])
+            if edit == "delete":
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(j, lines[i])
+            elif edit == "swap":
+                j = min(j, len(lines) - 1)
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                k = rng.randrange(len(lines[i]) + 1)
+                lines[i] = lines[i][:k] + rng.choice("0123456789 ,-<:RTDOUx") + lines[i][k + 1:]
+            recorded.write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            code = self.verify(files)
+            out = capsys.readouterr().out.splitlines()
+            if lines == old:
+                assert (code, out) == (0, ["verify: pass"])
+                continue
+            failed += 1
+            assert code == 1 and out[1:] == ["verify: fail"], out
+            # The fault names the first line that differs from the recording.
+            first = next(i for i, (a, b) in enumerate(zip(lines + [None], old + [None])) if a != b)
+            got = lines[first] if first < len(lines) else ""
+            if kind == "outputs":
+                # Node first's line, unless the recorded line names an earlier node.
+                node = min(first, tree.n - 1)
+                named = [v for v in range(node) if got.startswith(f"{v} ")]
+                assert out[0] == f"outputs differ from the replay at node {(named or [node])[0]}"
+            else:
+                where = f"round {first + 1}" if first < rounds or got.startswith("R") else "OUT"
+                assert out[0] == f"transcript differs from the replay at {where}"
+        assert failed > 25

@@ -106,6 +106,12 @@ class TestLabelFile:
         }
         assert labels_from_text(labels_to_text(labs)) == labs
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_second_line_for_a_node_rejected(self, order):
+        lines = [f"0 HubD3 {encode(hub('1'))}", f"0 HubD3 {encode(hub('10'))}"][::order]
+        with pytest.raises(MalformedLabel, match="node 0: more than one label line"):
+            labels_from_text("\n".join(lines) + "\n")
+
     def test_kind_mismatch_rejected(self):
         text = f"0 RootD3 {encode(hub('1'))}\n"
         with pytest.raises(MalformedLabel):
