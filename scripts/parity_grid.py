@@ -17,7 +17,7 @@ import sys
 import time
 
 from radiotopo.generators import random_tree
-from radiotopo.harness import run_tree
+from radiotopo.harness import outputs_to_text, run_tree
 from radiotopo.labels import labels_to_text
 
 DELTAS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -27,14 +27,6 @@ SEEDS = range(1, 5)
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def outputs_text(outputs) -> str:
-    lines = []
-    for node, (tree, place) in sorted(outputs.items()):
-        edges = ",".join(f"{u}-{v}" for u, v in tree.edges)
-        lines.append(f"{node} {place} {tree.n} {edges}")
-    return "\n".join(lines) + "\n"
 
 
 def main() -> int:
@@ -47,7 +39,7 @@ def main() -> int:
                     art.report.csv_row(),
                     sha(art.transcript.to_text()),
                     sha(labels_to_text(art.structured)),
-                    sha(outputs_text(art.outputs)),
+                    sha(outputs_to_text(art.outputs)),
                 )
     print(f"{len(DELTAS) * len(DIAMETERS) * len(SEEDS)} trees in {time.time() - start:.1f}s",
           file=sys.stderr)

@@ -1,17 +1,19 @@
 """End-to-end runner: label, dispatch, simulate, verify, batch, certify.
 
 Every protocol is one entry of the ordered table ``PROTOCOLS``: the label
-kinds it owns, the trees it applies to, its labeler, its program builder, the
-context its checks need and the checks themselves.  Run, verify and batch all
-select a protocol through the table, by tree shape (the first entry whose
-test applies: degree <= 2 runs the line protocol for any diameter, diameter 2
-the star protocol, diameter 3 the two-hub protocol, everything else the
-general one) or by the kinds of a given label set.
+kinds it owns, the trees it applies to, its labeler, its program builder and
+its checks.  Run, verify and batch all select a protocol through the table,
+by tree shape (the first entry whose test applies: degree <= 2 runs the line
+protocol for any diameter, diameter 2 the star protocol, diameter 3 the
+two-hub protocol, everything else the general one) or by the kinds of a given
+label set.  Either way the protocol's labeler labels the tree, and the checks
+read the labeler's view of it; given labels only drive the programs and the
+report, so a check judges the tree, not what the labels claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, zip_longest
 from typing import Callable, Optional
@@ -69,7 +71,6 @@ class RunArtifacts:
     # Labeler-side context the checks read: the LabeledTree for main, the
     # line labels for line, None for star and d3.
     labeled: object = None
-    windows: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 def check_run(tree: Tree, outputs: dict[int, tuple[Tree, int]]) -> dict[int, bool]:
@@ -126,7 +127,7 @@ def _main_checks(transcript: Transcript, labeled: LabeledTree):
     params = labeled.params
     windows = protocol_main.phase_windows(params.core_size, labeled.rooted.height, params.block_len)
     spans = sorted(windows.values())
-    checks = {
+    return {
         "tr_delivery": not check_tr_delivery(transcript, labeled, windows["collect"]),
         "round_bound": max(transcript.output_round.values(), default=0) <= windows["assemble"][1],
         "phase_windows": all(
@@ -134,11 +135,6 @@ def _main_checks(transcript: Transcript, labeled: LabeledTree):
             for rnd, rec in transcript.records.items()
         ),
     }
-    return checks, windows
-
-
-def _line_checks(transcript: Transcript, line_labels: dict[int, protocol_line.LineLabel]):
-    return {"mod3": not check_mod3(transcript, line_labels)}, {}
 
 
 # Process-wide tables, one per conversion (the codec in labels.py keeps its
@@ -195,9 +191,7 @@ class Protocol:
     # (tree, star class bound) -> (structured labels, check context)
     label: Callable[[Tree, Optional[int]], tuple[dict[int, StructuredLabel], object]]
     programs: Callable[[dict[int, StructuredLabel]], dict[int, NodeProgram]]
-    context: Callable[[Tree, dict[int, StructuredLabel]], object]  # from given labels
-    # (transcript, check context) -> (checks, phase windows)
-    checks: Callable[[Transcript, object], tuple[dict[str, bool], dict[str, tuple[int, int]]]]
+    checks: Callable[[Transcript, object], dict[str, bool]]  # (transcript, check context)
 
 
 PROTOCOLS: dict[str, Protocol] = {
@@ -209,8 +203,7 @@ PROTOCOLS: dict[str, Protocol] = {
             applies=lambda tree: tree.n <= 2 or tree.max_degree <= 2,
             label=_label_line,
             programs=lambda s: protocol_line.line_programs(_decoded(protocol_line.LineLabel, s)),
-            context=lambda tree, s: _decoded(protocol_line.LineLabel, s),
-            checks=_line_checks,
+            checks=lambda transcript, labels: {"mod3": not check_mod3(transcript, labels)},
         ),
         Protocol(
             name="star",
@@ -220,8 +213,7 @@ PROTOCOLS: dict[str, Protocol] = {
                 _structured(protocol_small.label_star(tree, star_delta)), None
             ),
             programs=_carrier_programs,
-            context=lambda tree, s: None,
-            checks=lambda transcript, context: ({}, {}),
+            checks=lambda transcript, context: {},
         ),
         Protocol(
             name="d3",
@@ -231,8 +223,7 @@ PROTOCOLS: dict[str, Protocol] = {
             applies=lambda tree: tree.diameter == 3,
             label=lambda tree, star_delta: (_structured(protocol_small.label_d3(tree)), None),
             programs=_carrier_programs,
-            context=lambda tree, s: None,
-            checks=lambda transcript, context: ({}, {}),
+            checks=lambda transcript, context: {},
         ),
         Protocol(
             name="main",
@@ -240,8 +231,6 @@ PROTOCOLS: dict[str, Protocol] = {
             applies=lambda tree: True,
             label=_label_main,
             programs=lambda s: protocol_main.main_programs(_decoded(MainLabel, s)),
-            # The labeler is deterministic, so its side of the run is rebuilt.
-            context=lambda tree, s: label_tree(tree),
             checks=_main_checks,
         ),
     )
@@ -261,14 +250,13 @@ def programs_from_structured(structured: dict[int, StructuredLabel], protocol: s
     return PROTOCOLS[protocol].programs(structured)
 
 
-def preset_context(tree: Tree, labels: dict[int, StructuredLabel]) -> tuple[str, object]:
-    """The protocol that owns every kind in a given label set, and the
-    context its checks need."""
+def label_owner(labels: dict[int, StructuredLabel]) -> str:
+    """The protocol that owns every kind in a given label set."""
     kinds = {lab.kind for lab in labels.values()}
     owners = sorted(p.name for p in PROTOCOLS.values() if kinds & p.kinds)
     if len(owners) != 1:
         raise ValueError(f"labels must belong to one protocol, not {owners}")
-    return owners[0], PROTOCOLS[owners[0]].context(tree, labels)
+    return owners[0]
 
 
 def outputs_to_text(outputs: dict[int, tuple[Tree, int]]) -> str:
@@ -332,18 +320,18 @@ def run_tree(
     star_delta: Optional[int] = None,
     preset_labels: Optional[dict[int, StructuredLabel]] = None,
 ) -> RunArtifacts:
-    """Label (or take preset labels), run and check one tree; a failed run raises RunFailed."""
+    """Label, run and check one tree; the checks read the labeler's view of it.
+    Preset labels pick their owner protocol and drive the programs and the report.
+    A labeler that rejects the tree raises ValueError, a failed run RunFailed."""
+    proto = dispatch_protocol(tree) if preset_labels is None else label_owner(preset_labels)
+    structured, context = structured_labels_for(tree, proto, star_delta)
     if preset_labels is not None:
-        proto, context = preset_context(tree, preset_labels)
         structured = preset_labels
-    else:
-        proto = dispatch_protocol(tree)
-        structured, context = structured_labels_for(tree, proto, star_delta)
     programs = programs_from_structured(structured, proto)
     budget = default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
     outputs, transcript, metrics = simulate(tree, programs, budget)
     node_valid = check_run(tree, outputs)
-    checks, windows = PROTOCOLS[proto].checks(transcript, context)
+    checks = PROTOCOLS[proto].checks(transcript, context)
     report = RunReport(
         family=family,
         delta=tree.max_degree,
@@ -364,7 +352,6 @@ def run_tree(
         structured=structured,
         programs=programs,
         labeled=context,
-        windows=windows,
     )
 
 
@@ -462,8 +449,10 @@ class PigeonholeCertificate:
 
 
 def pigeonhole_certificate(delta: int, label_bits: int) -> PigeonholeCertificate:
-    if delta < 4 or label_bits < 0:
-        raise ValueError("need delta >= 4 and label_bits >= 0")
+    # At 64 bits log2(views) is past 2^66, more than the bit length of any
+    # family size a process can hold, so a larger bound changes no verdict.
+    if delta < 4 or label_bits < 0 or label_bits > 64:
+        raise ValueError("need delta >= 4, label_bits >= 0 and label_bits <= 64")
     log2_views = 2 * (label_bits + 1) + 2 ** (label_bits + 2)
     family_size = -(-delta // 2)
     separable = log2_views >= (family_size - 1).bit_length()
@@ -540,14 +529,14 @@ def run_experiment(config_text: str) -> tuple[str, bool]:
     all_ok = True
     for family, tree, star_delta, seed in config_runs(config):
         try:
-            art = run_tree(tree, family=family, seed=seed, star_delta=star_delta)
-            rows.append(art.report.csv_row())
-            all_ok = all_ok and art.report.ok
+            report = run_tree(tree, family=family, seed=seed, star_delta=star_delta).report
         except RunFailed:
-            proto = dispatch_protocol(tree)
-            rows.append(
-                f"{family},{tree.max_degree},{tree.diameter},{tree.n},{seed},{proto},0,0,0"
+            report = RunReport(
+                family, tree.max_degree, tree.diameter, tree.n, seed, dispatch_protocol(tree),
+                rounds=0, max_label_bits=0, node_valid=dict.fromkeys(range(tree.n), False),
+                checks={},
             )
-            all_ok = False
+        rows.append(report.csv_row())
+        all_ok = all_ok and report.ok
     rows.sort()
     return "\n".join([CSV_HEADER] + rows) + "\n", all_ok

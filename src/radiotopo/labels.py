@@ -141,11 +141,14 @@ def labels_from_text(text: str) -> dict[int, StructuredLabel]:
         ln = ln.strip()
         if not ln:
             continue
-        node_s, kind_name, bits = ln.split()
+        try:
+            node_s, kind_name, bits = ln.split()
+            node = int(node_s)
+        except ValueError:
+            raise MalformedLabel(f"bad label line {ln!r}") from None
         label = decode(bits)
         if label.kind.value != kind_name:
             raise MalformedLabel(f"kind mismatch on line {ln!r}")
-        node = int(node_s)
         if node in out:
             raise MalformedLabel(f"node {node}: more than one label line")
         out[node] = label

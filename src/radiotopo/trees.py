@@ -347,15 +347,16 @@ def parse_tree_text(text: str) -> Tree:
     if not lines:
         raise TreeError("empty tree file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "tree":
+    if len(head) != 2 or head[0] != "tree" or not head[1].isdecimal():
         raise TreeError(f"bad header {lines[0]!r}")
     n = int(head[1])
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise TreeError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise TreeError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
     return Tree(n, edges)
 
 

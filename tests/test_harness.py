@@ -7,7 +7,7 @@ import pytest
 from radiotopo import harness, scheme
 from radiotopo import labels as codec
 from radiotopo.cli import main as cli_main
-from radiotopo.engine import RoundRecord
+from radiotopo.engine import RoundRecord, RunFailed
 from radiotopo.generators import family_feasibility, random_tree
 from radiotopo.harness import (
     CSV_HEADER,
@@ -35,9 +35,10 @@ from radiotopo.labels import (
     labels_to_text,
 )
 from radiotopo.protocol_line import path_tree
+from radiotopo.protocol_main import phase_windows
 from radiotopo.protocol_small import star_tree
 from radiotopo.scheme import MainLabel, label_tree
-from radiotopo.trees import Tree, tree_to_text
+from radiotopo.trees import Tree, TreeError, parse_tree_text, tree_to_text
 
 
 class TestDispatch:
@@ -88,7 +89,20 @@ class TestProtocolTable:
         assert again.report.csv_row() == art.report.csv_row()
         assert again.transcript.to_text() == art.transcript.to_text()
         assert again.report.checks == art.report.checks
-        assert again.windows == art.windows
+
+    @pytest.mark.parametrize("node, old, new, ok", [(7, "10", "00", False), (2, "00", "11", True)])
+    def test_mod3_judges_true_residues_not_the_labels(self, node, old, new, ok):
+        # Field 3 of a line label is pos_mod3.  Either edit still places every
+        # node of path_tree(40); node 7's makes one round's transmitters
+        # straddle true residues, node 2's keeps them apart though it lies.
+        tree = path_tree(40)
+        labels = dict(run_tree(tree).structured)
+        lab = labels[node]
+        assert lab.fields[3] == old
+        labels[node] = StructuredLabel(lab.kind, lab.fields[:3] + (new,))
+        art = run_tree(tree, preset_labels=labels)
+        assert all(art.report.node_valid.values())
+        assert art.report.checks == {"mod3": ok}
 
 
 class TestCheckRun:
@@ -137,9 +151,10 @@ class TestTrDelivery:
     def test_synthetic_sibling_clash_flagged(self):
         t = random_tree(8, 6, 1)
         art = run_tree(t)
-        lo, hi = art.windows["collect"]
+        lb = art.labeled
+        lo, hi = phase_windows(lb.params.core_size, lb.rooted.height, lb.params.block_len)["collect"]
         # Two siblings transmitting with no delivery to the parent.
-        rt = art.labeled.rooted
+        rt = lb.rooted
         v = next(
             u for u in range(t.n) if rt.parent[u] is not None and rt.parent[u] != rt.root
         )
@@ -272,6 +287,19 @@ class TestBatch:
         csv_text, ok = run_experiment(grid)
         assert ok and csv_text.count("\n") > 1
         assert (csv_text, ok) == run_experiment(feasible)
+
+    def test_failed_run_becomes_a_failing_row(self, monkeypatch):
+        real = harness.simulate
+
+        def simulate(tree, programs, budget):
+            if tree.n == 9:  # random_tree(3, 4, 2)
+                raise RunFailed("stalled")
+            return real(tree, programs, budget)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        csv_text, ok = run_experiment("family=random\ndelta=3\ndiameter=4\nseeds=1..2\n")
+        assert csv_text == f"{CSV_HEADER}\nrandom,3,4,6,1,main,35,50,1\nrandom,3,4,9,2,main,0,0,0\n"
+        assert ok is False
 
     def test_each_distinct_label_value_is_converted_once_per_batch(self, monkeypatch):
         # The sweep grid with seeds 17..32: its 7,244 main-protocol nodes
@@ -641,6 +669,8 @@ class TestCli:
             (["bounds", "--delta", "16", "--label-bits", "-5"], "label_bits >= 0"),
             (["gen", "--family", "random", "--count", "-2"], "--count must be at least 1, not -2"),
             (["gen", "--family", "random", "--count", "0"], "--count must be at least 1, not 0"),
+            (["bounds", "--delta", "16", "--label-bits", "65"], "label_bits <= 64"),
+            (["bounds", "--delta", "16", "--label-bits", "15000"], "label_bits <= 64"),
         ],
     )
     def test_integers_out_of_range_are_usage_errors(self, tmp_path, capsys, argv, reason):
@@ -649,6 +679,68 @@ class TestCli:
         assert cli_main(argv + extra) == 2
         assert reason in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bounds_take_up_to_64_label_bits(self, capsys):
+        assert cli_main(["bounds", "--delta", "16", "--label-bits", "64"]) == 0
+        assert capsys.readouterr().out == (
+            f"views_upper_bound 2^{2 * 65 + 2**66}\nfamily_size 8\nseparable true\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, text, reason",
+        [
+            ("labels", "0 HubD3\n", "bad label line '0 HubD3'"),
+            ("labels", "x StarCenter 0111\n", "bad label line 'x StarCenter 0111'"),
+            ("tree", "tree x\n", "bad header 'tree x'"),
+            ("tree", "tree 2\n0 y\n", "bad edge line '0 y'"),
+        ],
+    )
+    def test_unparsable_lines_are_named(self, tmp_path, capsys, kind, text, reason):
+        parse = {"labels": labels_from_text, "tree": parse_tree_text}[kind]
+        with pytest.raises({"labels": MalformedLabel, "tree": TreeError}[kind], match=reason):
+            parse(text)
+        files = self.record(tmp_path, star_tree(3))
+        (tmp_path / f"t.{kind}").write_text(text)
+        capsys.readouterr()
+        assert cli_main(["run", "--tree", files["tree"], "--labels", files["labels"]]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("node, old, new, ok", [(7, "10", "00", False), (2, "00", "11", True)])
+    def test_run_and_verify_judge_true_residues(self, tmp_path, capsys, node, old, new, ok):
+        # The pos_mod3 edits of TestProtocolTable, recorded and verified.
+        files = self.record(tmp_path, path_tree(40))
+        labels_file = tmp_path / "t.labels"
+        labels = labels_from_text(labels_file.read_text())
+        lab = labels[node]
+        assert lab.fields[3] == old
+        labels[node] = StructuredLabel(lab.kind, lab.fields[:3] + (new,))
+        labels_file.write_text(labels_to_text(labels))
+        recorded = ["--transcript", files["transcript"], "--outputs", files["outputs"]]
+        capsys.readouterr()
+        code = cli_main(["run", "--tree", files["tree"], "--labels", files["labels"], *recorded])
+        assert code == (0 if ok else 1)
+        assert capsys.readouterr().out.endswith(f",{int(ok)}\n")
+        assert self.verify(files) == code
+        want = "verify: pass\n" if ok else "line check mod3 failed\nverify: fail\n"
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "tree, donor, reason",
+        [
+            (TestProtocolTable.TREES["d3"], star_tree(6), "not a star"),
+            (star_tree(6), TestProtocolTable.TREES["d3"], "diameter is 2, not 3"),
+            (star_tree(6), path_tree(6), "not a line"),
+        ],
+        ids=["star-on-d3", "d3-on-star", "line-on-star"],
+    )
+    def test_labels_whose_labeler_rejects_the_tree(self, tmp_path, capsys, tree, donor, reason):
+        files = self.record(tmp_path, tree)
+        donor_labels = self.record(tmp_path, donor, "donor")["labels"]
+        capsys.readouterr()
+        assert cli_main(["run", "--tree", files["tree"], "--labels", donor_labels]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert self.verify(files, labels=donor_labels) == 1
+        assert capsys.readouterr().out == f"labels do not fit the tree: {reason}\nverify: fail\n"
 
     def test_verify_detects_tampered_outputs(self, tmp_path):
         tree_file = tmp_path / "t.tree"

@@ -489,10 +489,11 @@ class TestEndToEnd:
     def test_all_transmissions_inside_phase_windows(self):
         tree = random_tree(16, 6, 4)
         art = run_tree(tree)
-        windows = sorted(art.windows.values())
+        lb = art.labeled
+        windows = phase_windows(lb.params.core_size, lb.rooted.height, lb.params.block_len)
         for round_no, rec in art.transcript.records.items():
             if rec.transmitters:
-                assert any(lo <= round_no <= hi for lo, hi in windows)
+                assert any(lo <= round_no <= hi for lo, hi in windows.values())
 
 
 class TagRecorder(NodeProgram):
