@@ -16,8 +16,10 @@ says core size k, and the root's first k nodes in BFS order spread a degree
 of 4k one-bits, which fits that core size.  A run may end
 as a valid run, an invalid run (outputs that do not place the nodes), a
 failed run (RunFailed, exit 1 on the command line) or a malformed label
-(MalformedLabel, exit 2).  Any other exception is counted by type: a
-ValueError is a run-time fault the command line would report as bad usage
+(MalformedLabel, exit 2).  A RunFailed chained to a cause that is not a
+RunFailed is a program crash the simulator wrapped; it is counted as a
+wrapped error, by the cause's type.  Any other exception is counted by type:
+a ValueError is a run-time fault the command line would report as bad usage
 (exit 2), anything else a traceback.  A run still going after RUN_LIMIT_S
 seconds is stopped and counted as over the limit.  Exits nonzero if any
 run ends in one of those.
@@ -104,7 +106,10 @@ def outcome(tree: Tree, labels: dict) -> str:
         art = run_tree(tree, preset_labels=labels)
     except OverTime:
         return f"over the {RUN_LIMIT_S:g} s limit"
-    except RunFailed:
+    except RunFailed as exc:
+        cause = exc.__cause__
+        if cause is not None and not isinstance(cause, RunFailed):
+            return f"wrapped error ({type(cause).__name__})"
         return "run failed"
     except MalformedLabel:
         return "malformed label"
@@ -139,7 +144,9 @@ def main() -> int:
     print(f"all: {sum(total.values())} mutations in {time.time() - start:.1f}s")
     for kind, count in sorted(total.items()):
         print(f"  {kind:40} {count}")
-    bad = sum(c for k, c in total.items() if k.startswith(("run-time", "traceback", "bare", "over")))
+    bad = sum(
+        c for k, c in total.items() if k.startswith(("run-time", "traceback", "bare", "over", "wrapped"))
+    )
     return 1 if bad else 0
 
 

@@ -187,6 +187,8 @@ def simulate(
             exc.args = (f"node {v}, round {round_no}: {exc}",)
             raise
         except Exception as exc:
+            # The only RunFailed chained to a cause: programs raise their own
+            # failures unchained, so a cause marks a crash, not a reason.
             raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
         transcript.rounds = round_no
         for v in called:

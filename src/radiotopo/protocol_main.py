@@ -100,7 +100,7 @@ def gossip_subtree(
     try:
         group = Tree(len(ids), [(a - 1, b - 1) for a, b in edges])
     except TreeError as exc:
-        raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from exc
+        raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from None
     form = root_at(group, 0).form(my_gid - 1)
     return Subtree(form, form)
 
@@ -266,6 +266,8 @@ class MainProgram(NodeProgram):
             return not lab.marker(MARK_GOSSIP_CORE)
         if lab.marker(MARK_HEAVY):
             return True
+        if lab.shape_share is None:
+            raise ProtocolViolation("light node has no shape share")
         pos, piece = lab.shape_share
         if pos == 1:
             return piece != "1"
@@ -290,9 +292,11 @@ class MainProgram(NodeProgram):
         if phase == "core_gossip":
             if self.is_root:
                 delta = decode_shares([lab.degree_share for lab in labels], self.m)
-                # The scheme's own relation, checked before derive_params lists
+                # The scheme's own bounds, checked before derive_params lists
                 # a shape catalog for the degree; every other node learns the
                 # degree from the root's level wave.
+                if delta < 3:
+                    raise ProtocolViolation(f"degree {delta} is below the scheme's minimum of 3")
                 if core_size_for(delta) != self.m:
                     raise ProtocolViolation(f"degree {delta} does not fit core size {self.m}")
                 self._learn_delta(delta, self.windows[phase][1])

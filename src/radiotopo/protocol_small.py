@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import NodeProgram
+from .engine import NodeProgram, ProtocolViolation
 from .labels import LabelKind, StructuredLabel, field_value
-from .scheme import bits_of, choose_root, chunk, decode_shares
+from .scheme import bits_of, chunk, decode_shares
 from .trees import Tree, star_tree
 
 CARRIER_KINDS = frozenset({LabelKind.D3_LEAF, LabelKind.STAR_LEAF})
@@ -76,7 +76,7 @@ def label_d3(tree: Tree) -> dict[int, CarrierLabel]:
     delta = tree.max_degree
     if delta < 3:
         raise ValueError("need maximum degree >= 3")
-    root = choose_root(tree)  # the hub with more leaves, ties to the smaller id
+    root = tree.root  # the hub with more leaves, ties to the smaller id
     hub = next(w for w in tree.adjacency[root] if tree.degree(w) > 1)
 
     c = chunk_len(delta)
@@ -102,10 +102,7 @@ def label_star(tree: Tree, delta: Optional[int] = None) -> dict[int, CarrierLabe
         raise ValueError(f"star with {k} leaves outside class bound {delta}")
     if delta < 3:
         raise ValueError("class bound must be at least 3")
-    if tree.n == 2:
-        hub = 0
-    else:
-        hub = max(range(tree.n), key=tree.degree)
+    hub = tree.root
     if tree.degree(hub) != k:
         raise ValueError("not a star")
     labels = {hub: CarrierLabel(kind=LabelKind.STAR_CENTER)}
@@ -187,6 +184,8 @@ class D3RootProgram(HubProgram):
             if near is not None:
                 self.near_total = near
         elif message[0] == "count" and self.output is None:
+            if self.near_total is None:
+                raise ProtocolViolation("the root has not decoded its own leaf count")
             hub_leaves = message[1]
             tree = _d3_output_tree(root_leaves=self.near_total, hub_leaves=hub_leaves)
             self.output = (tree, 0)

@@ -28,7 +28,6 @@ from .trees import (
     classify_heavy,
     core_subtree,
     enumerate_rooted_trees,
-    root_at,
 )
 
 MARK_ROOT = 0
@@ -82,7 +81,7 @@ def decode_shares(pieces: list, expected: Optional[int] = None) -> int:
     try:
         bits = unchunk(pieces)
     except ValueError as exc:
-        raise MissingChunk(str(exc)) from exc
+        raise MissingChunk(str(exc)) from None
     if not bits:
         raise MissingChunk("the shares carry no bits")
     return int(bits, 2)
@@ -197,20 +196,6 @@ class GroundTruth:
     heavy: frozenset[int]
 
 
-def choose_root(tree: Tree) -> int:
-    """Central node, or for an odd diameter the central-edge endpoint whose
-    side is larger (ties to the smaller id)."""
-    if len(tree.center) == 1:
-        return tree.center[0]
-    u, v = tree.center
-    # Side sizes after deleting the central edge: v's side hangs below v.
-    size_v = root_at(tree, u).subtree_size[v]
-    size_u = tree.n - size_v
-    if size_u != size_v:
-        return u if size_u > size_v else v
-    return min(u, v)
-
-
 def assign_markers(rt: RootedTree, heavy: frozenset[int], core_size: int) -> tuple[dict[int, list[int]], int]:
     n = rt.tree.n
     markers = {v: [0] * 7 for v in range(n)}
@@ -278,7 +263,7 @@ def label_tree(tree: Tree) -> LabeledTree:
         )
     params = derive_params(delta)
     m = params.core_size
-    rt = root_at(tree, choose_root(tree))
+    rt = tree.rooted
     heavy = classify_heavy(rt, delta)
     markers, deep_leaf = assign_markers(rt, heavy, m)
     slots = assign_slots(rt, heavy)

@@ -42,7 +42,14 @@ def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[in
 
 @dataclass(frozen=True)
 class Tree:
-    """An undirected tree on nodes 0..n-1, validated on construction."""
+    """An undirected tree on nodes 0..n-1, validated on construction.
+
+    The constructor peels leaves layer by layer until one node or one edge
+    remains: the `center`, the middle of all longest paths, one node for an
+    even diameter and the two ends of the central edge, ascending, for an
+    odd one.  The same walk gives `diameter` and `root`, the center or the
+    central edge's end with the larger side, ties to the smaller id.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -55,9 +62,33 @@ class Tree:
             raise TreeError(f"expected {n - 1} edges, got {len(norm)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", norm)
-        # n-1 edges and connectivity together rule out cycles.
-        if -1 in self.distances_from(0):
-            raise TreeError("tree is not connected")
+        adj = self.adjacency
+        deg = [len(a) for a in adj]  # -1 once peeled
+        side = [1] * n  # v and the nodes peeled off through v
+        alive = n
+        layer = [v for v in range(n) if deg[v] == 1]
+        layers = 0
+        while alive > 2:
+            # With n-1 edges, no leaf among three or more nodes means a cycle.
+            if not layer:
+                raise TreeError("tree is not connected")
+            nxt = []
+            for v in layer:
+                deg[v] = -1
+                alive -= 1
+                for w in adj[v]:
+                    if deg[w] > 1:
+                        side[w] += side[v]
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+            layer = nxt
+            layers += 1
+        center = tuple(sorted(layer)) or (0,)
+        root = center[1] if len(center) == 2 and side[center[1]] > side[center[0]] else center[0]
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "diameter", 2 * layers + len(center) - 1)
+        object.__setattr__(self, "root", root)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -67,56 +98,18 @@ class Tree:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def rooted(self) -> RootedTree:
+        """The tree rooted at `root`: the one rooted view that the labelers
+        and the orbit ids share."""
+        return root_at(self, self.root)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     @cached_property
     def max_degree(self) -> int:
         return max(len(a) for a in self.adjacency)
-
-    def distances_from(self, start: int) -> list[int]:
-        adj = self.adjacency
-        dist = [-1] * self.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    @cached_property
-    def diameter(self) -> int:
-        if self.n == 1:
-            return 0
-        d0 = self.distances_from(0)
-        far = d0.index(max(d0))
-        d1 = self.distances_from(far)
-        return max(d1)
-
-    @cached_property
-    def center(self) -> tuple[int, ...]:
-        """Middle of all longest paths: one node for an even diameter, the two
-        ends of the central edge, ascending, for an odd one.  Leaves are
-        peeled layer by layer until one node or one edge remains."""
-        adj = self.adjacency
-        deg = [len(a) for a in adj]  # -1 once peeled
-        alive = self.n
-        layer = [v for v in range(self.n) if deg[v] == 1]
-        while alive > 2:
-            nxt = []
-            for v in layer:
-                deg[v] = -1
-                alive -= 1
-                for w in adj[v]:
-                    if deg[w] > 1:
-                        deg[w] -= 1
-                        if deg[w] == 1:
-                            nxt.append(w)
-            layer = nxt
-        return tuple(v for v in range(self.n) if deg[v] >= 0)
 
 
 def path_tree(k: int) -> Tree:
@@ -222,7 +215,7 @@ class OrbitInterner:
     def orbit_ids(self, tree: Tree) -> tuple[tuple[int, ...], list[int]]:
         """The tree's center key and the sig of every node, in O(n log degree)."""
         roots = tree.center
-        rt = root_at(tree, roots[0])  # a central edge's far end is cut off below it
+        rt = tree.rooted  # rooted at a center; the other end of a central edge is cut off
         down = [0] * tree.n
         for v in reversed(rt.bfs_order):
             kids = tuple(sorted(down[k] for k in rt.children[v] if k not in roots))
@@ -347,15 +340,18 @@ def parse_tree_text(text: str) -> Tree:
     if not lines:
         raise TreeError("empty tree file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "tree" or not head[1].isdecimal():
-        raise TreeError(f"bad header {lines[0]!r}")
-    n = int(head[1])
+    try:
+        if len(head) != 2 or head[0] != "tree" or not head[1].isdecimal():
+            raise ValueError
+        n = int(head[1])  # may exceed the interpreter's digit limit
+    except ValueError:
+        raise TreeError(f"bad header {lines[0][:40]!r}") from None
     edges = []
     for ln in lines[1:]:
         try:
             u, v = map(int, ln.split())
         except ValueError:
-            raise TreeError(f"bad edge line {ln!r}") from None
+            raise TreeError(f"bad edge line {ln[:40]!r}") from None
         edges.append((u, v))
     return Tree(n, edges)
 

@@ -457,6 +457,15 @@ class TestCli:
         bad.write_text("tree 3\n0 1\n0 1\n")
         assert cli_main(["run", "--tree", str(bad)]) == 2
 
+    def test_overlong_tree_header_exit_2(self, tmp_path, capsys):
+        # More digits than int() converts: a bad header, quoted only in part.
+        bad = tmp_path / "bad.tree"
+        bad.write_text("tree " + "9" * 5000 + "\n")
+        assert cli_main(["run", "--tree", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad header 'tree 999")
+        assert len(err) < 200
+
     def record(self, tmp_path, tree, name="t"):
         """Label and run a tree through the command line; the file paths."""
         files = {k: str(tmp_path / f"{name}.{k}") for k in ("tree", "labels", "transcript", "outputs")}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed, protocol_main
 from radiotopo.cli import main as cli_main
+from radiotopo.engine import ProtocolViolation
 from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree
 from radiotopo.labels import StructuredLabel, labels_to_text
@@ -80,7 +81,7 @@ def run_mutated(tmp_path, capsys, tree, node, field, bits):
 @pytest.mark.parametrize(
     "tree, node, field, bits",
     [
-        (TWO_HUB, 6, 0, "0"),  # no carrier is last: TypeError in the root
+        (TWO_HUB, 6, 0, "0"),  # no carrier is last: the root has no leaf count
         (random_tree(16, 6, 2), 0, 7, "11"),  # shape index outside the catalog
         (random_tree(8, 6, 1), 3, 2, "0000"),  # decoded degree 0 does not fit the core size
     ],
@@ -89,6 +90,21 @@ def test_program_faults_exit_1_naming_the_node(tmp_path, capsys, tree, node, fie
     code, err = run_mutated(tmp_path, capsys, tree, node, field, bits)
     assert code == 1
     assert err.startswith("run failed: node ")
+
+
+@pytest.mark.parametrize(
+    "tree, node, field, bits, reason",
+    [
+        (random_tree(16, 6, 2), 6, 6, "", "light node has no shape share"),
+        (TWO_HUB, 4, 1, "11", "the root has not decoded its own leaf count"),
+        (random_tree(4, 8, 3), 4, 2, "10", "degree 2 is below the scheme's minimum of 3"),
+    ],
+)
+def test_program_fault_names_the_field_not_a_python_error(tree, node, field, bits, reason):
+    labels = mutated(run_tree(tree).structured, node, field, bits)
+    with pytest.raises(ProtocolViolation, match=reason) as err:
+        run_tree(tree, preset_labels=labels)
+    assert err.value.__cause__ is None
 
 
 def test_star_with_a_gap_in_carrier_ids_fails_the_run(tmp_path, capsys):

@@ -17,7 +17,6 @@ from radiotopo.scheme import (
     UnsupportedShape,
     assign_slots,
     bits_of,
-    choose_root,
     chunk,
     derive_params,
     label_tree,
@@ -83,19 +82,6 @@ class TestDeriveParams:
     def test_equal_degrees_share_one_params_object(self):
         p = derive_params(1 << 12)
         assert derive_params(4096) is p
-
-
-class TestChooseRoot:
-    def test_even_diameter_center(self):
-        assert choose_root(path(5)) == 2
-
-    def test_odd_diameter_larger_side(self):
-        # Path 0..3 with a leaf on node 2: central edge (1,2); side of 2 is bigger.
-        t = Tree(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-        assert choose_root(t) == 2
-
-    def test_odd_tie_smaller_id(self):
-        assert choose_root(path(4)) == 1
 
 
 class TestMarkers:

@@ -59,6 +59,15 @@ class TestTreeConstruction:
         with pytest.raises(TreeError):
             Tree(4, [(0, 1), (2, 3), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(4, [(0, 1), (1, 2), (2, 0)]), (5, [(0, 1), (1, 2), (2, 0), (3, 4)])],
+    )
+    def test_rejects_cycle_with_tree_edge_count(self, n, edges):
+        # n-1 distinct edges, so only the peel's connectivity check can object.
+        with pytest.raises(TreeError, match="not connected"):
+            Tree(n, edges)
+
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(TreeError):
             Tree(3, [(0, 1)])
@@ -98,6 +107,34 @@ class TestCenter:
     @given(random_trees(max_n=16))
     def test_center_parity_matches_diameter(self, tree):
         assert (len(tree.center) == 1) == (tree.diameter % 2 == 0)
+
+
+class TestTreeRoot:
+    def test_even_diameter_center(self):
+        assert path(5).root == 2
+
+    def test_odd_diameter_larger_side(self):
+        # Path 0..3 with a leaf on node 2: central edge (1,2); side of 2 is bigger.
+        t = Tree(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        assert t.root == 2
+
+    def test_odd_tie_smaller_id(self):
+        assert path(4).root == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_trees())
+    def test_peel_matches_brute_force(self, tree):
+        ecc = [root_at(tree, v).height for v in range(tree.n)]
+        assert tree.diameter == max(ecc)
+        assert tree.center == tuple(v for v in range(tree.n) if ecc[v] == min(ecc))
+        if len(tree.center) == 1:
+            assert tree.root == tree.center[0]
+        else:
+            u, v = tree.center
+            size_v = root_at(tree, u).subtree_size[v]
+            size_u = tree.n - size_v
+            assert tree.root == (u if size_u >= size_v else v)
+        assert tree.rooted is tree.rooted and tree.rooted.root == tree.root
 
 
 class TestRootAt:
@@ -242,7 +279,7 @@ class TestPlacement:
             for v in range(n):
                 invariant = (
                     degrees,
-                    tuple(sorted(tree.distances_from(v))),
+                    tuple(sorted(root_at(tree, v).level)),
                     tuple(sorted(tree.degree(w) for w in tree.adjacency[v])),
                 )
                 candidates = search.setdefault(invariant, [])
