@@ -15,10 +15,12 @@ tree also runs with a consistent lie for each k in WIDE_CORE: every label
 says core size k, and the root's first k nodes in BFS order spread a degree
 of 4k one-bits, which fits that core size.  A run may end
 as a valid run, an invalid run (outputs that do not place the nodes), a
-failed run (RunFailed, exit 1 on the command line) or a malformed label
-(MalformedLabel, exit 2).  A RunFailed chained to a cause that is not a
-RunFailed is a program crash the simulator wrapped; it is counted as a
-wrapped error, by the cause's type.  Any other exception is counted by type:
+failed run (RunFailed, exit 1 on the command line; a stall, where some node
+has no output within the round budget, is counted apart as a round limit)
+or a malformed label (MalformedLabel, exit 2).  A RunFailed chained to a
+cause that is not a RunFailed is a program crash the simulator wrapped; it
+is counted as a wrapped error, by the cause's type.  Any other exception is
+counted by type:
 a ValueError is a run-time fault the command line would report as bad usage
 (exit 2), anything else a traceback.  A run still going after RUN_LIMIT_S
 seconds is stopped and counted as over the limit.  Exits nonzero if any
@@ -31,7 +33,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 
-from radiotopo import MalformedLabel, RunFailed
+from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed
 from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree
 from radiotopo.labels import LabelKind, StructuredLabel
@@ -106,6 +108,8 @@ def outcome(tree: Tree, labels: dict) -> str:
         art = run_tree(tree, preset_labels=labels)
     except OverTime:
         return f"over the {RUN_LIMIT_S:g} s limit"
+    except RoundLimitExceeded:
+        return "run failed (round limit)"
     except RunFailed as exc:
         cause = exc.__cause__
         if cause is not None and not isinstance(cause, RunFailed):

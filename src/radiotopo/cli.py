@@ -20,7 +20,7 @@ from .harness import (  # noqa: F401
     check_mod3,
     check_run,
     dispatch_protocol,
-    outputs_to_text,
+    outputs_lines,
     pigeonhole_certificate,
     recording_faults,
     run_experiment,
@@ -68,10 +68,13 @@ def _cmd_run(args) -> int:
     tree = _load_tree(args.tree)
     preset = labels_from_text(Path(args.labels).read_text()) if args.labels else None
     art = run_tree(tree, preset_labels=preset)
+    # Written a line at a time: the outputs file is O(n^2) bytes.
     if args.transcript:
-        Path(args.transcript).write_text(art.transcript.to_text())
+        with open(args.transcript, "w") as out:
+            out.writelines(art.transcript.lines())
     if args.outputs:
-        Path(args.outputs).write_text(outputs_to_text(art.outputs))
+        with open(args.outputs, "w") as out:
+            out.writelines(outputs_lines(art.outputs))
     rep = art.report
     print(CSV_HEADER)
     print(rep.csv_row())
@@ -88,9 +91,11 @@ def _cmd_batch(args) -> int:
 def _cmd_verify(args) -> int:
     tree = _load_tree(args.tree)
     structured = labels_from_text(Path(args.labels).read_text())
-    # Undecodable bytes cannot match the replay's text, so they fail verify.
-    recorded = [Path(p).read_text(errors="replace") for p in (args.transcript, args.outputs)]
-    faults = recording_faults(tree, structured, *recorded)
+    # Read a line at a time; undecodable bytes cannot match the replay's
+    # text, so they fail verify.
+    with open(args.transcript, errors="replace") as transcript, \
+            open(args.outputs, errors="replace") as outputs:
+        faults = recording_faults(tree, structured, transcript, outputs)
     for fault in faults:
         print(fault)
     print("verify: " + ("fail" if faults else "pass"))

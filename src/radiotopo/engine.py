@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .trees import Tree
 
@@ -32,10 +32,37 @@ class MissingChunk(ProtocolViolation):
 
 
 class RoundLimitExceeded(RunFailed):
-    """Some node has no output when no round within the budget is left."""
+    """Some node has no output when no round within the budget is left.
 
-    def __init__(self, missing: list[int]):
-        super().__init__(f"no output from nodes {missing} within the round limit")
+    missing is the sorted list of every such node.  The message counts them
+    out of n, lists the first few and, for each node in next_round (node ->
+    its next agenda round past the budget, or None for an empty agenda),
+    says what it waits for; it stays short however many nodes are stuck.
+    """
+
+    LISTED, EXPLAINED, MAX_LEN = 8, 3, 300
+
+    def __init__(
+        self,
+        missing: list[int],
+        n: Optional[int] = None,
+        budget: Optional[int] = None,
+        next_round: Optional[dict[int, Optional[int]]] = None,
+    ):
+        k = len(missing)
+        listed = ", ".join(map(str, missing[:self.LISTED])) + (", ..." if k > self.LISTED else "")
+        parts = [
+            f"no output from {k}{f' of {n}' if n is not None else ''} nodes within the round limit"
+            f"{f' {budget}' if budget is not None else ''}: nodes {listed}"
+        ]
+        for v, r in (next_round or {}).items():
+            wait = ("nothing on its agenda: waiting for a delivery" if r is None
+                    else f"next agenda round {r}, past the budget")
+            parts.append(f"node {v}: {wait}")
+        message = "; ".join(parts)
+        if len(message) > self.MAX_LEN:
+            message = message[:self.MAX_LEN - 3] + "..."
+        super().__init__(message)
         self.missing = missing
 
 
@@ -109,15 +136,23 @@ class Transcript:
     rounds: int = 0
     output_round: dict[int, int] = field(default_factory=dict)
 
-    def to_text(self) -> str:
-        lines = [f"R{i} T: D:" for i in range(1, self.rounds + 1)]
-        for i, rec in self.records.items():
-            txs = ",".join(str(t) for t in rec.transmitters)
-            dls = ",".join(f"{rx}<-{tx}" for rx, tx in rec.deliveries)
-            lines[i - 1] = f"R{i} T:{txs} D:{dls}"
+    def lines(self) -> Iterator[str]:
+        """The text's lines in order, each ending in a newline: one per round,
+        "R<i> T: D:" for a silent one, then "OUT <node> <round>" per node."""
+        records = self.records
+        for i in range(1, self.rounds + 1):
+            rec = records.get(i)
+            if rec is None:
+                yield f"R{i} T: D:\n"
+            else:
+                txs = ",".join(str(t) for t in rec.transmitters)
+                dls = ",".join(f"{rx}<-{tx}" for rx, tx in rec.deliveries)
+                yield f"R{i} T:{txs} D:{dls}\n"
         for node in sorted(self.output_round):
-            lines.append(f"OUT {node} {self.output_round[node]}")
-        return "\n".join(lines) + "\n"
+            yield f"OUT {node} {self.output_round[node]}\n"
+
+    def to_text(self) -> str:
+        return "".join(self.lines())
 
 
 @dataclass
@@ -137,7 +172,8 @@ def simulate(
     the nodes with an action due, in node order, and receive on each
     delivery; after each call the later rounds in the node's new_rounds join
     the heap and the list is emptied in place.  The run fails when no round
-    within max_rounds is left and a node has no output.
+    within max_rounds is left and a node has no output; the failure says,
+    for the first stuck nodes, which round each would act in next.
     """
     if set(programs) != set(range(tree.n)):
         raise ValueError("need exactly one program per node")
@@ -196,7 +232,11 @@ def simulate(
                 transcript.output_round[v] = round_no
                 pending.discard(v)
     if pending:
-        raise RoundLimitExceeded(sorted(pending))
+        # Every round left in due is past the budget.
+        missing = sorted(pending)
+        first = missing[:RoundLimitExceeded.EXPLAINED]
+        next_round = {v: min((r for r, nodes in due.items() if v in nodes), default=None) for v in first}
+        raise RoundLimitExceeded(missing, tree.n, max_rounds, next_round)
     outputs = {v: programs[v].output for v in range(tree.n)}
     metrics = Metrics(
         completion_round=max(transcript.output_round.values()),

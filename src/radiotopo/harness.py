@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, zip_longest
-from typing import Callable, Optional
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import protocol_line, protocol_main, protocol_small
 from .engine import Metrics, NodeProgram, RunFailed, Transcript, default_round_budget, simulate
@@ -259,30 +259,51 @@ def label_owner(labels: dict[int, StructuredLabel]) -> str:
     return owners[0]
 
 
+def outputs_lines(outputs: dict[int, tuple[Tree, int]]) -> Iterator[str]:
+    """One line "<node> <place> <n> <u>-<v>,...", newline included, per node
+    in node order; each distinct output tree object is formatted once."""
+    texts: dict[int, str] = {}
+    for node, (t, place) in sorted(outputs.items()):
+        text = texts.get(id(t))
+        if text is None:
+            texts[id(t)] = text = f"{t.n} " + ",".join(f"{u}-{v}" for u, v in t.edges)
+        yield f"{node} {place} {text}\n"
+
+
 def outputs_to_text(outputs: dict[int, tuple[Tree, int]]) -> str:
-    """One line "<node> <place> <n> <u>-<v>,..." per node, in node order;
-    each distinct output tree object is formatted once and shared by its lines."""
-    distinct = {id(t): t for t, _ in outputs.values()}
-    texts = {k: f"{t.n} " + ",".join(f"{u}-{v}" for u, v in t.edges) for k, t in distinct.items()}
-    return "".join(part for node, (t, place) in sorted(outputs.items())
-                   for part in (f"{node} {place} ", texts[id(t)], "\n"))
+    return "".join(outputs_lines(outputs))
 
 
-def _first_difference(got: str, want: str) -> tuple[int, str]:
-    """Index and text ("" if none) of the first line of got that is not want's."""
-    pairs = zip_longest(got.split("\n"), want.split("\n"))
-    return next((i, a or "") for i, (a, b) in enumerate(pairs) if a != b)
+def _first_difference(recorded: TextIO, want: Iterable[str], keep: int) -> Optional[tuple[int, str]]:
+    """Index and start of the first line of the recorded stream that is not
+    want's, with lines cut as text.split("\n") cuts them, or None if the two
+    texts are equal.  want's lines end in a newline.  No recorded line is read
+    past the length of its want line, newline included, or past keep
+    characters once want has ended, so a long line costs no more than the
+    replay's."""
+    i = -1
+    for i, line in enumerate(want):
+        got = recorded.readline(len(line))  # a longer line comes back cut, without its newline
+        if got != line:
+            if got == line[:-1]:  # the recording ends where want's newline is
+                return i + 1, ""
+            return i, got.removesuffix("\n")
+    got = recorded.readline(keep)
+    if got == "\n":  # one empty line past want's end still ends the text as want's does
+        return i + 2, recorded.readline(keep).removesuffix("\n")
+    return (i + 1, got.removesuffix("\n")) if got else None
 
 
 def recording_faults(
     tree: Tree,
     labels: dict[int, StructuredLabel],
-    transcript_text: str,
-    outputs_text: str,
+    transcript: TextIO,
+    outputs: TextIO,
 ) -> list[str]:
     """Why a recorded run fails; empty when it passes.  The run is replayed
-    from the tree and the labels; each recorded file must be the replay's text
-    line for line.  A malformed label raises MalformedLabel, as for a run."""
+    from the tree and the labels; each recorded text stream must be the
+    replay's text line for line, and is read one line at a time up to the
+    first difference.  A malformed label raises MalformedLabel, as for a run."""
     if labels.keys() != set(range(tree.n)):
         return [f"labels are not for the nodes 0..{tree.n - 1} of the tree"]
     try:
@@ -295,17 +316,18 @@ def recording_faults(
         return [f"labels do not fit the tree: {exc}"]
     rep = replay.report
     faults = [f"{rep.protocol} check {name} failed" for name, good in rep.checks.items() if not good]
-    want = replay.transcript.to_text()
-    if transcript_text != want:
-        i, line = _first_difference(transcript_text, want)
+    diff = _first_difference(transcript, replay.transcript.lines(), 1)
+    if diff is not None:
+        i, line = diff
         where = f"round {i + 1}" if i < replay.transcript.rounds or line[:1] == "R" else "OUT"
         faults.append(f"transcript differs from the replay at {where}")
-    want = outputs_to_text(replay.outputs)
-    if outputs_text != want:
+    digits = len(str(tree.n))
+    diff = _first_difference(outputs, outputs_lines(replay.outputs), digits + 1)
+    if diff is not None:
         # Line i is node i's (the last node's past the end) unless it names an earlier node.
-        i, line = _first_difference(outputs_text, want)
+        i, line = diff
         head = line.split(" ", 1)[0]
-        named = int(head) if head.isdecimal() and len(head) <= len(str(tree.n)) else i
+        named = int(head) if head.isdecimal() and len(head) <= digits else i
         faults.append(f"outputs differ from the replay at node {min(i, tree.n - 1, named)}")
     invalid = sorted(v for v, good in rep.node_valid.items() if not good)
     if invalid:

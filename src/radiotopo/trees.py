@@ -59,7 +59,8 @@ class Tree:
             raise TreeError("tree needs at least one node")
         norm = _normalize_edges(n, edges)
         if len(norm) != n - 1:
-            raise TreeError(f"expected {n - 1} edges, got {len(norm)}")
+            want = str(n - 1)  # quoted in part: a tree file's header may be thousands of digits
+            raise TreeError(f"expected {want[:40]}{'...' if len(want) > 40 else ''} edges, got {len(norm)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", norm)
         adj = self.adjacency

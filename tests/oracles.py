@@ -235,7 +235,13 @@ def polling_simulate(tree: Tree, programs: dict, max_rounds: int):
         if not pending:
             break
     if pending:
-        raise RoundLimitExceeded(sorted(pending))
+        # decide popped every agenda round up to the budget; the rest lie past it.
+        missing = sorted(pending)
+        next_round = {
+            v: min((r for r in programs[v].agenda if r > max_rounds), default=None)
+            for v in missing[:RoundLimitExceeded.EXPLAINED]
+        }
+        raise RoundLimitExceeded(missing, tree.n, max_rounds, next_round)
     outputs = {v: programs[v].output for v in range(tree.n)}
     metrics = Metrics(
         completion_round=max(transcript.output_round.values()),

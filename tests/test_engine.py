@@ -1,4 +1,5 @@
 import importlib.util
+import io
 from collections import Counter
 from pathlib import Path
 
@@ -104,6 +105,47 @@ class TestSimulateContract:
         with pytest.raises(RoundLimitExceeded) as err:
             simulate(path(2), {0: Silent(), 1: Silent()}, 3)
         assert err.value.missing == [0, 1]
+        assert str(RoundLimitExceeded([4, 7])) == "no output from 2 nodes within the round limit: nodes 4, 7"
+
+    def test_round_limit_names_a_silent_node_as_waiting_for_a_delivery(self):
+        class Silent(NodeProgram):
+            def receive(self, round_no, message):
+                pass
+
+        with pytest.raises(RoundLimitExceeded) as err:
+            simulate(path(3), {0: Script({1: "X"}, out_round=2), 1: Silent(), 2: Silent()}, 5)
+        assert str(err.value) == (
+            "no output from 2 of 3 nodes within the round limit 5: nodes 1, 2; "
+            "node 1: nothing on its agenda: waiting for a delivery; "
+            "node 2: nothing on its agenda: waiting for a delivery"
+        )
+
+    def test_round_limit_names_the_next_agenda_round_past_the_budget(self):
+        programs = {0: Script(out_round=2), 1: Script({3: "late"}, out_round=9), 2: Script(out_round=12)}
+        with pytest.raises(RoundLimitExceeded) as err:
+            simulate(path(3), programs, 5)
+        assert err.value.missing == [1, 2]
+        assert str(err.value) == (
+            "no output from 2 of 3 nodes within the round limit 5: nodes 1, 2; "
+            "node 1: next agenda round 9, past the budget; "
+            "node 2: next agenda round 12, past the budget"
+        )
+
+    def test_round_limit_message_stays_short_for_many_stuck_nodes(self):
+        class Silent(NodeProgram):
+            def receive(self, round_no, message):
+                pass
+
+        n = 1000
+        programs = {v: Silent() for v in range(n)}
+        programs[0].send(1, "X")
+        with pytest.raises(RoundLimitExceeded) as err:
+            simulate(path(n), programs, 100)
+        assert err.value.missing == list(range(n))
+        message = str(err.value)
+        assert message.startswith("no output from 1000 of 1000 nodes within the round limit 100: "
+                                  "nodes 0, 1, 2, 3, 4, 5, 6, 7, ...; node 0: ")
+        assert len(message) <= RoundLimitExceeded.MAX_LEN
 
     def test_program_fault_fails_the_run_at_its_node(self):
         class FaultyDecide(Script):
@@ -179,7 +221,9 @@ class TestSimulateContract:
         tree = path_tree(3)
         art = run_tree(tree)
         assert art.transcript.to_text().startswith("R1 T: D:\nOUT 0 1\n")
-        faults = recording_faults(tree, art.structured, text, outputs_to_text(art.outputs))
+        faults = recording_faults(
+            tree, art.structured, io.StringIO(text), io.StringIO(outputs_to_text(art.outputs))
+        )
         where = 2 if text == "R1 T: D:\nR1 T: D:\n" else 1
         assert faults == [f"transcript differs from the replay at round {where}"]
 

@@ -1,6 +1,9 @@
 import dataclasses
+import io
 import random
+import tracemalloc
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 
@@ -18,6 +21,7 @@ from radiotopo.harness import (
     dispatch_protocol,
     outputs_to_text,
     parse_config,
+    recording_faults,
     pigeonhole_certificate,
     run_experiment,
     run_tree,
@@ -466,6 +470,15 @@ class TestCli:
         assert err.startswith("error: bad header 'tree 999")
         assert len(err) < 200
 
+    def test_oversized_tree_header_count_exit_2(self, tmp_path, capsys):
+        # A count int() converts, with no edges: the edge count is quoted only in part.
+        bad = tmp_path / "bad.tree"
+        bad.write_text("tree " + "9" * 4000 + "\n")
+        assert cli_main(["run", "--tree", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected 999") and err.endswith("... edges, got 0\n")
+        assert len(err.encode()) < 200
+
     def record(self, tmp_path, tree, name="t"):
         """Label and run a tree through the command line; the file paths."""
         files = {k: str(tmp_path / f"{name}.{k}") for k in ("tree", "labels", "transcript", "outputs")}
@@ -835,3 +848,138 @@ class TestCli:
                 where = f"round {first + 1}" if first < rounds or got.startswith("R") else "OUT"
                 assert out[0] == f"transcript differs from the replay at {where}"
         assert failed > 25
+
+    @staticmethod
+    def whole_text_fault(kind, got, want, rounds, n):
+        """The fault for one recorded text as found by comparing whole texts:
+        the first piece of got.split("\\n") that is not want's names it."""
+        if got == want:
+            return None
+        pairs = zip_longest(got.split("\n"), want.split("\n"))
+        i, line = next((i, a or "") for i, (a, b) in enumerate(pairs) if a != b)
+        if kind == "transcript":
+            where = f"round {i + 1}" if i < rounds or line[:1] == "R" else "OUT"
+            return f"transcript differs from the replay at {where}"
+        head = line.split(" ", 1)[0]
+        named = int(head) if head.isdecimal() and len(head) <= len(str(n)) else i
+        return f"outputs differ from the replay at node {min(i, n - 1, named)}"
+
+    @pytest.mark.parametrize("tree", [path_tree(5), random_tree(3, 4, 1)], ids=["line", "main"])
+    def test_streamed_faults_match_the_whole_text_comparison(self, tree):
+        # Seeded byte-level edits, newline forms and undecodable bytes
+        # included; each stream is decoded as verify opens a recording.
+        art = run_tree(tree)
+        honest = {
+            "transcript": art.transcript.to_text().encode(),
+            "outputs": outputs_to_text(art.outputs).encode(),
+        }
+        pieces = [b"\n", b"\r", b"\r\n", b"\n\n", b"R", b"OUT 1 1", b"1 ", b"12 ", b"x", b"\xff", b" "]
+        rng = random.Random(tree.n)
+
+        def edit(data):
+            k = rng.randrange(len(data) + 1)
+            change = rng.choice(["cut", "insert", "replace", "crlf", "strip", "append"])
+            if change == "cut":
+                return data[:k]
+            if change == "crlf":
+                return data.replace(b"\n", rng.choice([b"\r\n", b"\r"]))
+            if change == "strip":
+                return data.rstrip(b"\n")
+            piece = rng.choice(pieces)
+            if change == "append":
+                return data + piece
+            return data[:k] + piece + data[k + (change == "replace"):]
+
+        def stream(data):
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+
+        seen = Counter()
+        for _ in range(150):
+            recorded = dict(honest)
+            kind = rng.choice(sorted(honest))
+            recorded[kind] = edit(edit(honest[kind]) if rng.random() < 0.3 else honest[kind])
+            want = [
+                self.whole_text_fault(k, stream(recorded[k]).read(), honest[k].decode(),
+                                      art.transcript.rounds, tree.n)
+                for k in ("transcript", "outputs")
+            ]
+            got = recording_faults(tree, art.structured, stream(recorded["transcript"]),
+                                   stream(recorded["outputs"]))
+            assert got == [f for f in want if f is not None], (kind, recorded[kind])
+            seen[bool(got)] += 1
+        assert seen[True] > 50 and seen[False] > 5
+
+    @pytest.mark.parametrize(
+        "kind, change, fault",
+        [
+            ("transcript", "strip", "transcript differs from the replay at OUT"),
+            ("transcript", "blank", "transcript differs from the replay at OUT"),
+            ("transcript", "round", "transcript differs from the replay at round 33"),
+            ("outputs", "strip", "outputs differ from the replay at node 8"),
+            ("outputs", "blank", "outputs differ from the replay at node 8"),
+            ("outputs", "named", "outputs differ from the replay at node 3"),
+            ("transcript", "crlf", None),
+            ("outputs", "crlf", None),
+        ],
+    )
+    def test_verify_reasons_at_the_end_of_a_recording(self, tmp_path, capsys, kind, change, fault):
+        # path_tree(8) runs 23 rounds, so its transcript has 32 lines; its
+        # last outputs line is node 8's.
+        files = self.record(tmp_path, path_tree(8))
+        recorded = tmp_path / f"t.{kind}"
+        data = recorded.read_bytes()
+        data = {
+            "strip": data[:-1],
+            "blank": data + b"\n",
+            "round": data + b"R14 T: D:\n",
+            "named": data + b"3 0 9\n",
+            "crlf": data.replace(b"\n", b"\r\n"),
+        }[change]
+        recorded.write_bytes(data)
+        capsys.readouterr()
+        assert self.verify(files) == (1 if fault else 0)
+        assert capsys.readouterr().out == (f"{fault}\n" if fault else "") + f"verify: {'fail' if fault else 'pass'}\n"
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def recorded_256(self, tmp_path_factory):
+        """random_tree(256, 8, 1) recorded through the command line, and the
+        traced peak of its replay alone."""
+        tmp_path = tmp_path_factory.mktemp("recorded_256")
+        tree = random_tree(256, 8, 1)
+        files = self.record(tmp_path, tree)
+        replay = self.traced_peak(lambda: run_tree(
+            parse_tree_text((tmp_path / "t.tree").read_text()),
+            preset_labels=labels_from_text((tmp_path / "t.labels").read_text()),
+        ))
+        return tmp_path, files, replay
+
+    def test_run_and_verify_memory_does_not_follow_the_outputs_file(self, recorded_256, capsys):
+        # The outputs file is O(n^2) bytes (394 kB here), the replay's own
+        # structures about 1 MB; what either command holds beyond the
+        # replay stays under a quarter of the file.
+        tmp_path, files, replay = recorded_256
+        size = (tmp_path / "t.outputs").stat().st_size
+        recorded = ["--transcript", files["transcript"], "--outputs", files["outputs"]]
+        run = ["run", "--tree", files["tree"], "--labels", files["labels"], *recorded]
+        assert self.traced_peak(lambda: cli_main(run)) - replay < size // 4
+        assert self.traced_peak(lambda: self.verify(files)) - replay < size // 4
+        assert capsys.readouterr().out.endswith("verify: pass\n")
+
+    def test_a_huge_recorded_line_costs_no_more_than_the_replays(self, recorded_256, capsys):
+        tmp_path, files, replay = recorded_256
+        outputs = tmp_path / "huge.outputs"
+        first = (tmp_path / "t.outputs").read_text().split("\n", 1)[0]
+        outputs.write_text(first + "9" * 5_000_000)  # one 5 MB line, no newline
+        capsys.readouterr()
+        peak = self.traced_peak(lambda: self.verify(files, outputs=str(outputs)))
+        assert capsys.readouterr().out == "outputs differ from the replay at node 0\nverify: fail\n"
+        assert peak - replay < 5_000_000 // 20
