@@ -128,21 +128,34 @@ def outcome(tree: Tree, labels: dict) -> str:
     return "valid run" if art.report.ok else "invalid run"
 
 
+def tree_outcomes(tree: Tree) -> Counter:
+    """How the runs of every mutation of the tree's labels end, by outcome."""
+    labels = run_tree(tree).structured
+    counts: Counter = Counter()
+    for v, lab in sorted(labels.items()):
+        for i in range(len(lab.fields)):
+            for new in field_mutations(lab, i):
+                fields = lab.fields[:i] + (new,) + lab.fields[i + 1:]
+                mutated = {**labels, v: StructuredLabel(lab.kind, fields)}
+                counts[outcome(tree, mutated)] += 1
+    for lie in consistent_lies(tree, labels):
+        counts[outcome(tree, lie)] += 1
+    return counts
+
+
+def sweep() -> dict[str, Counter]:
+    """How the runs end, counted per tree of TREES."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        return {name: tree_outcomes(tree) for name, tree in TREES.items()}
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 def main() -> int:
-    signal.signal(signal.SIGALRM, _alarm)
     start = time.time()
     total: Counter = Counter()
-    for name, tree in TREES.items():
-        labels = run_tree(tree).structured
-        counts: Counter = Counter()
-        for v, lab in sorted(labels.items()):
-            for i in range(len(lab.fields)):
-                for new in field_mutations(lab, i):
-                    fields = lab.fields[:i] + (new,) + lab.fields[i + 1:]
-                    mutated = {**labels, v: StructuredLabel(lab.kind, fields)}
-                    counts[outcome(tree, mutated)] += 1
-        for lie in consistent_lies(tree, labels):
-            counts[outcome(tree, lie)] += 1
+    for name, counts in sweep().items():
         print(f"{name}: {sum(counts.values())} mutations, {dict(sorted(counts.items()))}")
         total += counts
     print(f"all: {sum(total.values())} mutations in {time.time() - start:.1f}s")

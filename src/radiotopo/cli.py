@@ -13,12 +13,8 @@ from pathlib import Path
 
 from .engine import RunFailed
 from .generators import FAMILIES, GenSpec, InfeasibleFamily, generate
-# check_mod3 and check_run are not called here; they stay importable from
-# this module because perfbench/spans.py wraps them at cli.<name>.
-from .harness import (  # noqa: F401
+from .harness import (
     CSV_HEADER,
-    check_mod3,
-    check_run,
     dispatch_protocol,
     outputs_lines,
     pigeonhole_certificate,

@@ -42,20 +42,11 @@ class RoundLimitExceeded(RunFailed):
 
     LISTED, EXPLAINED, MAX_LEN = 8, 3, 300
 
-    def __init__(
-        self,
-        missing: list[int],
-        n: Optional[int] = None,
-        budget: Optional[int] = None,
-        next_round: Optional[dict[int, Optional[int]]] = None,
-    ):
+    def __init__(self, missing: list[int], n: int, budget: int, next_round: dict[int, Optional[int]]):
         k = len(missing)
         listed = ", ".join(map(str, missing[:self.LISTED])) + (", ..." if k > self.LISTED else "")
-        parts = [
-            f"no output from {k}{f' of {n}' if n is not None else ''} nodes within the round limit"
-            f"{f' {budget}' if budget is not None else ''}: nodes {listed}"
-        ]
-        for v, r in (next_round or {}).items():
+        parts = [f"no output from {k} of {n} nodes within the round limit {budget}: nodes {listed}"]
+        for v, r in next_round.items():
             wait = ("nothing on its agenda: waiting for a delivery" if r is None
                     else f"next agenda round {r}, past the budget")
             parts.append(f"node {v}: {wait}")

@@ -345,7 +345,7 @@ class MainProgram(NodeProgram):
         self.my_subtree = aggregate_children(self.tr_received, self.delta)
         tree = parse_form(self.my_subtree.layout)
         self.output = (tree, 0)
-        return ("assemble", root_at(tree, 0), 0)
+        return ("assemble", tree, root_at(tree, 0), 0)
 
     def receive(self, round_no: int, message) -> None:
         tag = message[0]
@@ -393,11 +393,11 @@ class MainProgram(NodeProgram):
                 return
             if self.my_subtree is None:
                 raise ProtocolViolation("assembly reached a node with no computed subtree")
-            _, rt, parent_place = message
+            _, tree, rt, parent_place = message
             place = child_place(rt, parent_place, self.my_subtree.form)
-            self.output = (rt.tree, place)
+            self.output = (tree, place)
             if self.level < self.height:
-                self.send(round_no + 1, ("assemble", rt, place))
+                self.send(round_no + 1, ("assemble", tree, rt, place))
             return
 
 

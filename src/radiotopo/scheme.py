@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Optional
 
 from .engine import MissingChunk
@@ -196,28 +197,6 @@ class GroundTruth:
     heavy: frozenset[int]
 
 
-def assign_markers(rt: RootedTree, heavy: frozenset[int], core_size: int) -> tuple[dict[int, list[int]], int]:
-    n = rt.tree.n
-    markers = {v: [0] * 7 for v in range(n)}
-    markers[rt.root][MARK_ROOT] = 1
-    deep_leaf = next(v for v in rt.bfs_order if rt.level[v] == rt.height)
-    markers[deep_leaf][MARK_DEEP_LEAF] = 1
-    for v in core_subtree(rt, rt.root, core_size):
-        markers[v][MARK_ROOT_CORE] = 1
-    for v in range(n):
-        markers[v][MARK_HEAVY if v in heavy else MARK_LIGHT] = 1
-    for v in range(n):
-        if v in heavy and all(c not in heavy for c in rt.children[v]):
-            for u in core_subtree(rt, v, core_size):
-                markers[u][MARK_GOSSIP_CORE] = 1
-    for v in range(n):
-        p = rt.parent[v]
-        if v not in heavy and p is not None and p in heavy:
-            for u in rt.subtree_nodes(v):
-                markers[u][MARK_LIGHT_SUB] = 1
-    return markers, deep_leaf
-
-
 def assign_slots(rt: RootedTree, heavy: frozenset[int]) -> dict[int, int]:
     """Transmission slots: siblings' slots are pairwise distinct, and the
     lowest-id heavy child always repeats its parent's slot."""
@@ -235,15 +214,6 @@ def assign_slots(rt: RootedTree, heavy: frozenset[int]) -> dict[int, int]:
         for c in kids[1:]:
             slots[c] = next(spare)
     return slots
-
-
-def assign_shapes(rt: RootedTree, heavy: frozenset[int], catalog: ShapeCatalog) -> dict[int, int]:
-    shapes: dict[int, int] = {}
-    for v in range(rt.tree.n):
-        p = rt.parent[v]
-        if v not in heavy and p is not None and p in heavy:
-            shapes[v] = catalog.index_of_form(rt.form(v))
-    return shapes
 
 
 @dataclass
@@ -264,51 +234,61 @@ def label_tree(tree: Tree) -> LabeledTree:
     params = derive_params(delta)
     m = params.core_size
     rt = tree.rooted
+    n = tree.n
     heavy = classify_heavy(rt, delta)
-    markers, deep_leaf = assign_markers(rt, heavy, m)
     slots = assign_slots(rt, heavy)
-    shapes = assign_shapes(rt, heavy, params.catalog)
+    deep_leaf = next(v for v in rt.bfs_order if rt.level[v] == rt.height)
 
-    degree_share: dict[int, tuple[int, str]] = {}
-    slot_share: dict[int, tuple[int, str]] = {}
-    slot_echo: set[int] = set()
-    shape_share: dict[int, tuple[int, str]] = {}
-    count_share: dict[int, tuple[int, str]] = {}
+    # The gossip groups, each walked once: the root's core, the core of each
+    # heavy node whose children are all light, and each light subtree hanging
+    # from a heavy node (BFS order, so a member's position is its share id).
+    root_core = core_subtree(rt, rt.root, m)
+    cores = {
+        v: root_core if v == rt.root else core_subtree(rt, v, m)
+        for v in range(n)
+        if v in heavy and all(c not in heavy for c in rt.children[v])
+    }
+    light = {v: rt.subtree_nodes(v) for v in range(n) if v not in heavy and rt.parent[v] in heavy}
+    shapes = {v: params.catalog.index_of_form(rt.form(v)) for v in light}
+
+    markers = [[0] * 7 for _ in range(n)]
+    for mark, nodes in (
+        (MARK_ROOT, [rt.root]),
+        (MARK_DEEP_LEAF, [deep_leaf]),
+        (MARK_ROOT_CORE, root_core),
+        (MARK_HEAVY, heavy),
+        (MARK_LIGHT, (v for v in range(n) if v not in heavy)),
+        (MARK_GOSSIP_CORE, chain.from_iterable(cores.values())),
+        (MARK_LIGHT_SUB, chain.from_iterable(light.values())),
+    ):
+        for v in nodes:
+            markers[v][mark] = 1
 
     # Max degree spread over the root's core group (bit length is exactly
     # bit_length(delta), so the greedy split yields exactly m chunks).
-    root_core = core_subtree(rt, rt.root, m)
-    for (idx, bits), node in zip(chunk(bits_of(delta), 4), root_core):
-        degree_share[node] = (idx, bits)
-
-    for v in range(tree.n):
-        if v == rt.root or v not in heavy:
-            continue
-        if all(c not in heavy for c in rt.children[v]):
-            group = core_subtree(rt, v, m)
-            for (idx, bits), node in zip(chunk(bits_of(slots[v], width=delta.bit_length()), 4), group):
-                slot_share[node] = (idx, bits)
-        p = rt.parent[v]
-        if p is not None and p != rt.root and p in heavy and slots.get(p) == slots[v]:
-            slot_echo.add(v)
-
+    degree_share = dict(zip(root_core, chunk(bits_of(delta), 4)))
+    slot_share = {
+        u: piece
+        for v, group in cores.items()
+        if v != rt.root
+        for u, piece in zip(group, chunk(bits_of(slots[v], width=delta.bit_length()), 4))
+    }
+    # The heavy child that repeats its (non-root) parent's slot says so.
+    slot_echo = {v for v, s in slots.items() if rt.parent[v] != rt.root and slots[rt.parent[v]] == s}
+    shape_share: dict[int, tuple[int, str]] = {}
+    for v, members in light.items():
+        pieces = dict(chunk(bits_of(shapes[v]), 2))
+        for pos, u in enumerate(members, start=1):
+            shape_share[u] = (pos, pieces.get(pos, ""))
+    # Same-shape light siblings spread their count; members ascend by id.
+    siblings: dict[tuple[int, int], list[int]] = {}
     for v, shape_index in shapes.items():
-        members = rt.subtree_nodes(v)
-        pieces = dict(chunk(bits_of(shape_index), 2))
-        for pos, node in enumerate(members, start=1):
-            shape_share[node] = (pos, pieces.get(pos, ""))
-
-    for v in range(tree.n):
-        if v not in heavy:
-            continue
-        groups: dict[int, list[int]] = {}
-        for c in rt.children[v]:
-            if c in shapes:
-                groups.setdefault(shapes[c], []).append(c)
-        for shape_index in sorted(groups):
-            members = sorted(groups[shape_index])
-            for (idx, bits), node in zip(chunk(bits_of(len(members)), 4), members):
-                count_share[node] = (idx, bits)
+        siblings.setdefault((rt.parent[v], shape_index), []).append(v)
+    count_share = {
+        u: piece
+        for members in siblings.values()
+        for u, piece in zip(members, chunk(bits_of(len(members)), 4))
+    }
 
     core_bits = bits_of(m)
     labels = {
@@ -321,8 +301,7 @@ def label_tree(tree: Tree) -> LabeledTree:
             count_share.get(v),
             core_bits,
         )
-        for v in range(tree.n)
+        for v in range(n)
     }
     truth = GroundTruth(root=rt.root, deep_leaf=deep_leaf, slots=slots, shapes=shapes, heavy=heavy)
     return LabeledTree(tree=tree, rooted=rt, params=params, labels=labels, truth=truth)
-

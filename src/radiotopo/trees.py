@@ -125,9 +125,12 @@ def star_tree(k: int) -> Tree:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree with a distinguished root plus derived per-node structure."""
+    """A tree with a distinguished root plus derived per-node structure.
 
-    tree: Tree
+    It holds no reference to its Tree, so a Tree that caches its rooted view
+    forms no reference cycle and is freed as soon as it is dropped.
+    """
+
     root: int
     parent: tuple[Optional[int], ...]
     children: tuple[tuple[int, ...], ...]
@@ -139,7 +142,7 @@ class RootedTree:
     @cached_property
     def forms(self) -> tuple[str, ...]:
         """Canonical form of the subtree hanging at each node."""
-        forms: list[str] = [""] * self.tree.n
+        forms: list[str] = [""] * len(self.parent)
         for v in reversed(self.bfs_order):
             kids = sorted(forms[c] for c in self.children[v])
             forms[v] = "0" + "".join(kids) + "1"
@@ -186,7 +189,6 @@ def root_at(tree: Tree, root: int) -> RootedTree:
         for c in children[u]:
             size[u] += size[c]
     return RootedTree(
-        tree=tree,
         root=root,
         parent=tuple(parent),
         children=tuple(children),
@@ -236,7 +238,7 @@ def classify_heavy(rt: RootedTree, delta: int) -> frozenset[int]:
     if delta < 3:
         raise ValueError("classification needs maximum degree >= 3")
     threshold = delta.bit_length()
-    return frozenset(v for v in range(rt.tree.n) if 4 * rt.subtree_size[v] >= threshold)
+    return frozenset(v for v in range(len(rt.parent)) if 4 * rt.subtree_size[v] >= threshold)
 
 
 def core_subtree(rt: RootedTree, v: int, m: int) -> list[int]:

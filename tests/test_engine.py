@@ -105,7 +105,10 @@ class TestSimulateContract:
         with pytest.raises(RoundLimitExceeded) as err:
             simulate(path(2), {0: Silent(), 1: Silent()}, 3)
         assert err.value.missing == [0, 1]
-        assert str(RoundLimitExceeded([4, 7])) == "no output from 2 nodes within the round limit: nodes 4, 7"
+        assert str(RoundLimitExceeded([4, 7], 9, 3, {4: None})) == (
+            "no output from 2 of 9 nodes within the round limit 3: nodes 4, 7; "
+            "node 4: nothing on its agenda: waiting for a delivery"
+        )
 
     def test_round_limit_names_a_silent_node_as_waiting_for_a_delivery(self):
         class Silent(NodeProgram):
@@ -450,6 +453,19 @@ class TestAgainstPollingLoop:
                 assert event == polled, (v, i, new)
                 ends[event[0].__name__ if isinstance(event[0], type) else "output"] += 1
         assert ends["RoundLimitExceeded"] and ends["ProtocolViolation"] and ends["output"]
+
+
+def test_mutation_sweep_totals():
+    # Every mutation of scripts/mutation_sweep.py ends the way it did when
+    # these totals were recorded; a run that now ends otherwise moves one.
+    total = sum(_mutation_sweep().sweep().values(), Counter())
+    assert total == {
+        "invalid run": 450,
+        "malformed label": 448,
+        "run failed": 964,
+        "run failed (round limit)": 190,
+        "valid run": 1237,
+    }
 
 
 class Counted(NodeProgram):

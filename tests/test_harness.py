@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import io
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import zip_longest
 
@@ -130,6 +132,24 @@ class TestCheckRun:
         del outputs[1]
         verdicts = check_run(t, outputs)
         assert verdicts[1] is False
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: path_tree(9), lambda: star_tree(9), lambda: random_tree(16, 6, 1)],
+        ids=["line", "small", "main"],
+    )
+    def test_run_frees_its_trees_without_the_cyclic_collector(self, make):
+        # Reference counting alone frees the input tree and every output tree.
+        gc.disable()
+        try:
+            tree = make()
+            art = run_tree(tree)
+            outs = {id(t): t for t, _ in art.outputs.values()}
+            refs = [weakref.ref(t) for t in [tree, *outs.values()]]
+            del tree, art, outs
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("tree", [path_tree(9), random_tree(4, 5, 2)])
     def test_equal_separate_trees_same_verdicts(self, tree):

@@ -197,7 +197,7 @@ class TestAggregation:
                 assert sorted(rt.subtree_nodes(offset)) == list(range(offset, offset + size))
                 assert rt.form(offset) == p.form
                 offset += size
-            assert offset == rt.tree.n and rt.form(0) == joined.form
+            assert offset == len(rt.parent) and rt.form(0) == joined.form
 
 
 class TestGossipSubtree:

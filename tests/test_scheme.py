@@ -1,10 +1,14 @@
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_rooted_isomorphic, extract_subtree
-from radiotopo.generators import random_tree
-from radiotopo.labels import encode
+from radiotopo import scheme
+from radiotopo.generators import family_deg_lb, family_diam_lb, family_sticks, random_tree
+from radiotopo.labels import encode, labels_to_text
 from radiotopo.scheme import (
     MARK_DEEP_LEAF,
     MARK_GOSSIP_CORE,
@@ -22,7 +26,7 @@ from radiotopo.scheme import (
     label_tree,
     unchunk,
 )
-from radiotopo.trees import Tree, parse_form, root_at
+from radiotopo.trees import RootedTree, Tree, parse_form, root_at
 
 
 def path(n):
@@ -303,3 +307,57 @@ class TestHeavyLightStructure:
     def test_bits_of_width(self):
         assert bits_of(5) == "101"
         assert bits_of(5, width=5) == "00101"
+
+
+class TestGroupWalks:
+    @pytest.mark.parametrize("spec", [(16, 8, 3), (256, 6, 1), (64, 5, 2)])
+    def test_each_gossip_group_is_walked_once(self, monkeypatch, spec):
+        tree = sample_tree(*spec)
+        cores, walks = Counter(), Counter()
+        core_subtree, subtree_nodes = scheme.core_subtree, RootedTree.subtree_nodes
+
+        def counted_core(rt, v, m):
+            cores[v] += 1
+            return core_subtree(rt, v, m)
+
+        def counted_walk(rt, v):
+            walks[v] += 1
+            return subtree_nodes(rt, v)
+
+        monkeypatch.setattr(scheme, "core_subtree", counted_core)
+        monkeypatch.setattr(RootedTree, "subtree_nodes", counted_walk)
+        lb = label_tree(tree)
+        rt, heavy = lb.rooted, lb.truth.heavy
+        gossip = {v for v in heavy if v != rt.root and all(c not in heavy for c in rt.children[v])}
+        assert lb.truth.shapes and gossip
+        assert cores == Counter({rt.root} | gossip)
+        assert walks == Counter({rt.root} | gossip | set(lb.truth.shapes))
+
+
+# sha256 of the concatenated labels_to_text of each family's trees, recorded
+# from a known-good build; update one only with a change meant to alter labels.
+FAMILY_LABELS = {
+    "diam_lb": (
+        lambda s: [t for d in (4, 5, 7) for k in (3, 4, 16) for t in family_diam_lb(d, k, s, 2)],
+        "b3e4ad1ce2063a458b4e683f1dbaefd2bf5999cd483d1008cb9c037a7f737127",
+    ),
+    "deg_lb": (
+        lambda s: [t for k in (3, 5, 16) for d in (4, 7) for t in family_deg_lb(k, d, s, 2)],
+        "23ae349a1217c6451a92781449f7e27f0f20e66d32db75ae1afcb24c610bbc47",
+    ),
+    "sticks": (
+        lambda s: [t for k in (3, 4, 8) for d in (6, 9, 12) for t in family_sticks(k, d, s, 2)],
+        "51d5454676e8bd73c0ea0283bee4f2c3b7f75da1c182d8d2b90134ec7980c5b9",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_LABELS))
+def test_family_label_bytes_are_pinned(family):
+    make, want = FAMILY_LABELS[family]
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for tree in make(seed):
+            labels = label_tree(tree).labels
+            digest.update(labels_to_text({v: lab.to_structured() for v, lab in labels.items()}).encode())
+    assert digest.hexdigest() == want

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -154,6 +156,18 @@ class TestRootAt:
     def test_unknown_root(self):
         with pytest.raises(TreeError):
             root_at(path(3), 7)
+
+    def test_cached_rooted_view_leaves_no_reference_cycle(self):
+        # Reference counting alone frees a tree whose rooted view was read.
+        gc.disable()
+        try:
+            tree = path(5)
+            assert tree.rooted.forms[tree.root]
+            ref = weakref.ref(tree)
+            del tree
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @settings(max_examples=40, deadline=None)
     @given(random_trees())
