@@ -4,8 +4,9 @@ Rounds are numbered from 1.  Each round has two phases: every node first
 commits to transmit or listen (decide), then every listener hears the payload
 of its unique transmitting neighbor, or nothing if zero or several neighbors
 transmitted.  Reception lands in the same round as the transmission, and a
-program is told only of a delivery: hearing nothing calls no method.  Only
-rounds on some node's agenda are stepped; only those with traffic are recorded.
+program is told only of a delivery: hearing nothing calls no method.  Each
+program keeps (step, args) entries on an agenda keyed by round; only agenda
+rounds are stepped, and only those with traffic are recorded.
 A run that fails raises RunFailed, naming the node and round when a program
 fails it; any other exception from a program becomes a ProtocolViolation.
 """
@@ -57,6 +58,11 @@ class RoundLimitExceeded(RunFailed):
         self.missing = missing
 
 
+def transmit(round_no: int, message):
+    """The step send schedules: it sends message in its round."""
+    return message
+
+
 class NodeProgram:
     """Per-node state machine contract.
 
@@ -65,13 +71,14 @@ class NodeProgram:
     node listened and exactly one neighbor transmitted; message is its payload.
     The output attribute, once set to a (tree, node) pair, must never change.
 
-    A program keeps its schedule on one agenda keyed by round: at(round,
-    action) runs action(round) in that round, send(round, message) sends a
-    fixed message, and a round already past never comes.  decide(round) is
-    called only for a round on the agenda; the default runs its actions in
-    the order they were added and sends the last message they returned.
-    A round entering the agenda for the first time is also appended to
-    new_rounds, which the simulator reads and empties after each call.
+    A program keeps its schedule on one agenda of (step, args) entries keyed
+    by round: at(round, step, *args) runs step(round, *args) in that round,
+    send(round, message) schedules transmit(round, message), and a round
+    already past never comes.  decide(round) is called only for a round on
+    the agenda; the default runs its steps in the order they were added and
+    sends the last message they returned.  A round entering the agenda for
+    the first time is also appended to new_rounds, which the simulator
+    reads and empties after each call.
     """
 
     output: Optional[tuple[Tree, int]] = None
@@ -80,20 +87,20 @@ class NodeProgram:
         self.agenda: dict[int, list] = {}
         self.new_rounds: list[int] = []
 
-    def at(self, round_no: int, action) -> None:
-        actions = self.agenda.get(round_no)
-        if actions is None:
-            self.agenda[round_no] = actions = []
+    def at(self, round_no: int, step, *args) -> None:
+        steps = self.agenda.get(round_no)
+        if steps is None:
+            self.agenda[round_no] = steps = []
             self.new_rounds.append(round_no)
-        actions.append(action)
+        steps.append((step, args))
 
     def send(self, round_no: int, message) -> None:
-        self.at(round_no, lambda _round: message)
+        self.at(round_no, transmit, message)
 
     def decide(self, round_no: int):
         message = None
-        for action in self.agenda.pop(round_no, ()):
-            sent = action(round_no)
+        for step, args in self.agenda.pop(round_no, ()):
+            sent = step(round_no, *args)
             if sent is not None:
                 message = sent
         return message
@@ -160,7 +167,7 @@ def simulate(
     """Drive all programs until every node has output, recording a transcript.
 
     Only rounds on some agenda are stepped, from a heap: decide is called on
-    the nodes with an action due, in node order, and receive on each
+    the nodes with a step due, in node order, and receive on each
     delivery; after each call the later rounds in the node's new_rounds join
     the heap and the list is emptied in place.  The run fails when no round
     within max_rounds is left and a node has no output; the failure says,
@@ -171,7 +178,7 @@ def simulate(
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     adjacency = tree.adjacency
-    due: dict[int, set[int]] = {}  # round -> nodes with an action in it
+    due: dict[int, set[int]] = {}  # round -> nodes with a step in it
     heap: list[int] = []
 
     def queue(v: int, new_rounds: list[int], after: int) -> None:

@@ -19,7 +19,7 @@ from typing import Optional
 from .engine import NodeProgram
 from .labels import LabelKind, StructuredLabel, field_value
 from .scheme import bits_of
-from .trees import Tree, path_tree, root_at
+from .trees import Tree, path_tree
 
 
 def line_positions(tree: Tree) -> list[int]:
@@ -28,8 +28,13 @@ def line_positions(tree: Tree) -> list[int]:
         return [0]
     if tree.max_degree > 2:
         raise ValueError("not a line")
-    first = min(v for v in range(tree.n) if tree.degree(v) == 1)
-    return list(root_at(tree, first).bfs_order)
+    adj = tree.adjacency
+    order = [min(v for v in range(tree.n) if len(adj[v]) == 1)]
+    order.append(adj[order[0]][0])
+    while len(order) < tree.n:
+        a, b = adj[order[-1]]
+        order.append(b if a == order[-2] else a)
+    return order
 
 
 def stride_for(k: int) -> int:
@@ -144,13 +149,12 @@ class LineProgram(NodeProgram):
         self.trees = trees
         self.first_rx: Optional[int] = None  # forward-probe arrival round
         self.resolved = False
-        self.output = None
         if label.kind is LabelKind.LINE_TINY:
-            self.at(1, lambda _round: self._place(label.tiny_len, label.tiny_pos))
+            self.at(1, self._place, label.tiny_len, label.tiny_pos)
         elif label.node_type == 1:
             self.send(first_dedicated(label.pos_mod3), ("probe", "", ""))
 
-    def _place(self, k: int, pos: int) -> None:
+    def _place(self, round_no: int, k: int, pos: int) -> None:
         if k not in self.trees:
             self.trees[k] = path_tree(k)
         self.output = (self.trees[k], pos - 1)
@@ -178,7 +182,8 @@ class LineProgram(NodeProgram):
                 segment = int(segbits, 2)
                 stride = stride_for(k)
                 self.resolved = True
-                self._place(k, segment * stride + (round_no - starter_round(segment, stride) + 1) + 1)
+                pos = segment * stride + (round_no - starter_round(segment, stride) + 1) + 1
+                self._place(round_no, k, pos)
                 self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
             return
         if tag == "resolve":
@@ -189,17 +194,17 @@ class LineProgram(NodeProgram):
             if lab.node_type == 1:
                 if entry == (lab.pos_mod3 + 1) % 3:
                     self.resolved = True
-                    self._place(k, segment * stride + 1)
+                    self._place(round_no, k, segment * stride + 1)
                 return
             self.resolved = True
             if lab.node_type == 0:
-                self._place(k, k + 1)  # terminator reached through the tail
+                self._place(round_no, k, k + 1)  # terminator reached through the tail
                 return
             if self.first_rx is not None:
                 pos = segment * stride + (self.first_rx - starter_round(segment, stride) + 1) + 1
             else:
                 pos = (segment + 1) * stride + (round_no - boundary_tx_round(segment, stride) + 1)
-            self._place(k, pos)
+            self._place(round_no, k, pos)
             self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
             return
 

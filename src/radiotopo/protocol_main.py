@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .engine import MissingChunk, NodeProgram, ProtocolViolation
+from .engine import MissingChunk, NodeProgram, ProtocolViolation, transmit
 from .scheme import (
     MARK_DEEP_LEAF,
     MARK_GOSSIP_CORE,
@@ -34,7 +34,7 @@ from .scheme import (
     decode_shares,
     derive_params,
 )
-from .trees import RootedTree, Tree, TreeError, parse_form, root_at
+from .trees import RootedTree, Tree, TreeError, join_forms, parse_form, root_at
 
 
 class Subtree(NamedTuple):
@@ -52,35 +52,22 @@ def rooted_form(subtree: Subtree) -> str:
 
 
 class GossipState:
-    """Round-robin gossip inside a connected group of at most m members.
+    """What one member of a round-robin gossip group knows: the labels and
+    edges heard so far.  MainProgram._join fixes its slots; in each it sends
+    message(), first announcing itself and afterwards everything it has
+    heard.  Hearing any member directly also reveals the connecting edge,
+    so after m segments of m slots every member knows the group's labels
+    and its full edge set."""
 
-    Member i transmits in slot i of each of the m segments, first announcing
-    itself and afterwards everything it has heard.  Hearing any member
-    directly also reveals the connecting edge, so after m segments every
-    member knows the group's labels and its full edge set.
-    """
-
-    def __init__(self, tag: str, my_id: int, my_label: MainLabel, m: int, window_start: int):
+    def __init__(self, tag: str, my_id: int, my_label: MainLabel):
         self.tag = tag
         self.my_id = my_id
-        self.m = m
-        self.window_start = window_start
         self.labels: dict[int, MainLabel] = {my_id: my_label}
         self.edges: set[tuple[int, int]] = set()
 
-    def decide(self, round_no: int) -> Optional[tuple]:
-        offset = round_no - self.window_start
-        if not (1 <= offset <= self.m * self.m):
-            return None
-        if (offset - 1) % self.m + 1 != self.my_id:
-            return None
-        return (
-            "gossip",
-            self.tag,
-            self.my_id,
-            tuple(sorted(self.labels.items())),
-            tuple(sorted(self.edges)),
-        )
+    def message(self) -> tuple:
+        labels, edges = tuple(sorted(self.labels.items())), tuple(sorted(self.edges))
+        return ("gossip", self.tag, self.my_id, labels, edges)
 
     def absorb(self, message: tuple) -> None:
         _, _, sender, labels, edges = message
@@ -109,7 +96,7 @@ def attach_subtrees(parts: list[Subtree]) -> Subtree:
     """A new root with the given subtrees below it, in order."""
     return Subtree(
         "0" + "".join(p.layout for p in parts) + "1",
-        "0" + "".join(sorted(p.form for p in parts)) + "1",
+        join_forms(p.form for p in parts),
     )
 
 
@@ -176,7 +163,6 @@ class MainProgram(NodeProgram):
         self.label = label
         self.m = label.core_size
         self.is_root = label.marker(MARK_ROOT)
-        self.output = None
         # The core window and the start of "parameter" do not depend on h or
         # E; the full schedule replaces this once the height is known.
         self.windows = phase_windows(self.m, 0, 0)
@@ -194,7 +180,7 @@ class MainProgram(NodeProgram):
         self.round_level: Optional[int] = 0 if self.is_root else None
         self.round_height: Optional[int] = None
 
-        # The gossip groups this node is in, by phase, until each is decoded.
+        # The gossip groups this node is in, by tag, until each is decoded.
         self.gossip: dict[str, GossipState] = {}
         self._join("core", label.degree_share, 0)
         if self.is_root:  # after the core decode, which lands in the same round
@@ -205,29 +191,29 @@ class MainProgram(NodeProgram):
         self.child_epoch = (0, -1)  # inclusive round window of children's epoch
 
     def _join(self, tag: str, share: Optional[tuple[int, str]], round_no: int) -> None:
-        """Enter the gossip group of a phase when the label holds its share:
-        speak in the node's slots and decode the group after its window."""
+        """Enter the gossip group of a phase when the label holds its share i:
+        speak in round i of each of the window's m segments of m rounds (never
+        for i outside 1..m) and decode the group after the window."""
         if share is None:
             return
-        phase = tag + "_gossip"
-        lo, hi = self.windows[phase]
-        group = GossipState(tag, share[0], self.label, self.m, lo - 1)
-        self.gossip[phase] = group
-        first = lo - 1 + group.my_id  # the node's first slot after now
-        if first <= round_no:
-            first += ((round_no - first) // self.m + 1) * self.m
-        if first <= hi:
-            self.at(first, lambda now: self._slot(group, hi, now))
+        lo, hi = self.windows[tag + "_gossip"]
+        group = self.gossip[tag] = GossipState(tag, share[0], self.label)
+        if 1 <= group.my_id <= self.m:
+            first = lo - 1 + group.my_id  # the node's first slot after now
+            if first <= round_no:
+                first += ((round_no - first) // self.m + 1) * self.m
+            if first <= hi:
+                self.at(first, self._slot, group, hi)
         # A window that contradicting labels put in the past decodes in the next round.
-        self.at(max(hi + 1, round_no + 1), lambda _round: self._finish_gossip(phase))
+        self.at(max(hi + 1, round_no + 1), self._finish_gossip, tag)
 
-    def _slot(self, group: GossipState, hi: int, now: int) -> Optional[tuple]:
+    def _slot(self, round_no: int, group: GossipState, hi: int) -> tuple:
         """Speak in a gossip slot.  Each slot queues the next one up to the
         window's last round hi, so a wide window costs only the slots the
         run reaches."""
-        if now + self.m <= hi:
-            self.at(now + self.m, lambda later: self._slot(group, hi, later))
-        return group.decide(now)
+        if round_no + self.m <= hi:
+            self.at(round_no + self.m, self._slot, group, hi)
+        return group.message()
 
     def _learn_height(self, height: int, round_no: int) -> None:
         if self.height is not None:
@@ -240,14 +226,14 @@ class MainProgram(NodeProgram):
         self.windows = phase_windows(self.m, height, e)
         self._join("slot", self.label.slot_share, round_no)
         self._join("shape", self.label.shape_share, round_no)
-        # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in epoch h-l+1.
-        lo = self.windows["collect"][0]
-        if self.level is not None and self.level >= 1 and self.tr_transmits:
-            epoch = lo + (height - self.level) * 2 * e
-            self.at(max(epoch, round_no + 1), lambda now: self._send_subtree(epoch, now))
-        if self.level is not None and self.level < height:
-            start = lo + (height - self.level - 1) * 2 * e
-            self.child_epoch = (start, start + 2 * e - 1)
+        # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in
+        # epoch h-l+1, and its children in the epoch before.
+        if self.level is not None:
+            epoch = self.windows["collect"][0] + (height - self.level) * 2 * e
+            if self.level >= 1 and self.tr_transmits:
+                self.at(max(epoch, round_no + 1), self._send_subtree, epoch)
+            if self.level < height:
+                self.child_epoch = (epoch - 2 * e, epoch - 1)
         if self.is_root:
             self.at(self.windows["assemble"][0], self._assemble)
 
@@ -285,11 +271,11 @@ class MainProgram(NodeProgram):
             raise MissingChunk("the root reached the level wave without a decoded degree")
         return ("level_wave", self.delta)
 
-    def _finish_gossip(self, phase: str) -> None:
+    def _finish_gossip(self, round_no: int, tag: str) -> None:
         """Decode what a group spread, once its window has passed."""
-        group = self.gossip.pop(phase)
+        group = self.gossip.pop(tag)
         labels = group.labels.values()
-        if phase == "core_gossip":
+        if tag == "core":
             if self.is_root:
                 delta = decode_shares([lab.degree_share for lab in labels], self.m)
                 # The scheme's own bounds, checked before derive_params lists
@@ -299,8 +285,8 @@ class MainProgram(NodeProgram):
                     raise ProtocolViolation(f"degree {delta} is below the scheme's minimum of 3")
                 if core_size_for(delta) != self.m:
                     raise ProtocolViolation(f"degree {delta} does not fit core size {self.m}")
-                self._learn_delta(delta, self.windows[phase][1])
-        elif phase == "slot_gossip":
+                self._learn_delta(delta, self.windows["core_gossip"][1])
+        elif tag == "slot":
             if group.my_id == 1:
                 self.slot = decode_shares([lab.slot_share for lab in labels], self.m)
         else:
@@ -308,7 +294,7 @@ class MainProgram(NodeProgram):
             if group.my_id == 1:
                 self.shape_index = decode_shares([lab.shape_share for lab in labels])
 
-    def _send_subtree(self, epoch_start: int, round_no: int) -> Optional[tuple]:
+    def _send_subtree(self, round_no: int, epoch_start: int) -> Optional[tuple]:
         """Collection step at the node's epoch start: send now or schedule it."""
         lab = self.label
         if lab.marker(MARK_HEAVY):
@@ -319,8 +305,7 @@ class MainProgram(NodeProgram):
                     raise ProtocolViolation(f"{len(echoes)} slot echoes among heavy children")
                 self.slot = echoes[0]
             tx_round = epoch_start - 1 + self.slot
-            message = ("subtree", lab, self.my_subtree, self.slot)
-            action = lambda _round: message
+            step, args = transmit, (("subtree", lab, self.my_subtree, self.slot),)
         else:
             if self.shape_index is None:
                 raise ProtocolViolation("light sender has no decoded shape index")
@@ -328,10 +313,10 @@ class MainProgram(NodeProgram):
                 raise ProtocolViolation(f"shape index {self.shape_index} outside the catalog")
             offset = self.params.block_len + (self.shape_index - 1) * self.m + lab.count_share[0]
             tx_round = epoch_start - 1 + offset
-            action = self._send_shape
+            step, args = self._send_shape, ()
         if tx_round == round_no:
-            return action(round_no)
-        self.at(tx_round, action)
+            return step(round_no, *args)
+        self.at(tx_round, step, *args)
 
     def _send_shape(self, round_no: int) -> tuple:
         """A light sender's message; the catalog is read only in the round it is sent."""
@@ -350,7 +335,7 @@ class MainProgram(NodeProgram):
     def receive(self, round_no: int, message) -> None:
         tag = message[0]
         if tag == "gossip":
-            group = self.gossip.get(message[1] + "_gossip")
+            group = self.gossip.get(message[1])
             if group is not None:
                 group.absorb(message)
             return

@@ -127,7 +127,6 @@ class LeafProgram(NodeProgram):
     def __init__(self, label: CarrierLabel):
         super().__init__()
         self.label = label
-        self.output = None
         self.send(label.carrier_id, ("carrier", label))
 
     def receive(self, round_no: int, message) -> None:
@@ -143,7 +142,6 @@ class HubProgram(NodeProgram):
         super().__init__()
         self.label = label
         self.pieces: dict[int, str] = {}
-        self.output = None
 
     def collect(self, lab: CarrierLabel) -> Optional[int]:
         """File one carrier's chunk; the decoded leaf count once the last is in."""

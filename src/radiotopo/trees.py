@@ -113,6 +113,11 @@ class Tree:
         return max(len(a) for a in self.adjacency)
 
 
+def join_forms(forms: Iterable[str]) -> str:
+    """Canonical form of a root whose children's subtrees have these forms."""
+    return "0" + "".join(sorted(forms)) + "1"
+
+
 def path_tree(k: int) -> Tree:
     """The line of k edges, nodes 0..k in path order."""
     return Tree(k + 1, [(i, i + 1) for i in range(k)])
@@ -144,8 +149,7 @@ class RootedTree:
         """Canonical form of the subtree hanging at each node."""
         forms: list[str] = [""] * len(self.parent)
         for v in reversed(self.bfs_order):
-            kids = sorted(forms[c] for c in self.children[v])
-            forms[v] = "0" + "".join(kids) + "1"
+            forms[v] = join_forms(forms[c] for c in self.children[v])
         return tuple(forms)
 
     def form(self, v: int) -> str:
@@ -154,12 +158,8 @@ class RootedTree:
     def subtree_nodes(self, v: int) -> list[int]:
         """Nodes of the subtree at v in BFS order (children ascending)."""
         out = [v]
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for c in self.children[u]:
-                out.append(c)
-                queue.append(c)
+        for u in out:
+            out.extend(self.children[u])
         return out
 
 
@@ -242,10 +242,14 @@ def classify_heavy(rt: RootedTree, delta: int) -> frozenset[int]:
 
 
 def core_subtree(rt: RootedTree, v: int, m: int) -> list[int]:
-    """First m nodes of the BFS order of the subtree at v; position is the 1-based id."""
+    """First m >= 1 nodes of the subtree at v in BFS order, walked no further;
+    position is the 1-based id."""
     if rt.subtree_size[v] < m:
         raise TreeError(f"subtree at {v} has {rt.subtree_size[v]} nodes, need {m}")
-    return rt.subtree_nodes(v)[:m]
+    out = [v]
+    for u in out:  # once out holds m nodes, every slice is empty
+        out.extend(rt.children[u][:m - len(out)])
+    return out
 
 
 def parse_form(form: str) -> Tree:
@@ -310,7 +314,7 @@ def _forms_of_size(size: int, smaller: list[list[str]]) -> list[str]:
 
     def extend(start: int, remaining: int, parts: list[str]) -> None:
         if remaining == 0:
-            results.add("0" + "".join(sorted(parts)) + "1")
+            results.add(join_forms(parts))
             return
         for idx in range(start, len(pool)):
             sz, f = pool[idx]

@@ -323,6 +323,19 @@ class TestAgenda:
         assert programs[0].heard == {8: "pong"}
         assert chained.new_rounds == []
 
+    @pytest.mark.parametrize("name", ["line", "star", "d3", "main"])
+    def test_no_protocol_schedules_a_lambda(self, monkeypatch, name):
+        steps = []
+        at = NodeProgram.at
+
+        def recorded_at(program, round_no, step, *args):
+            steps.append(step.__qualname__)
+            at(program, round_no, step, *args)
+
+        monkeypatch.setattr(NodeProgram, "at", recorded_at)
+        assert run_tree(PARITY_TREES[name]()).report.ok
+        assert steps and not [step for step in steps if "<lambda>" in step]
+
 
 class TestSparseRecord:
     def test_only_rounds_with_a_transmitter_are_stored(self):

@@ -1,5 +1,6 @@
+from radiotopo import protocol_line, trees
 from radiotopo.engine import simulate
-from radiotopo.harness import check_mod3
+from radiotopo.harness import check_mod3, run_tree
 from radiotopo.labels import LabelKind, encode
 from radiotopo.protocol_line import (
     LineLabel,
@@ -9,6 +10,7 @@ from radiotopo.protocol_line import (
     path_tree,
     stride_for,
 )
+from radiotopo.trees import Tree
 
 
 def run_line(k, budget=None):
@@ -87,6 +89,25 @@ class TestLabeling:
 
     def test_positions_orientation(self):
         assert line_positions(path_tree(4)) == [0, 1, 2, 3, 4]
+
+    def test_positions_follow_the_edges_from_the_smaller_endpoint(self):
+        order = [5, 3, 11, 0, 8, 1, 9, 2, 10, 4, 7, 6]
+        assert line_positions(Tree(12, zip(order, order[1:]))) == order
+        assert line_positions(Tree(2, [(1, 0)])) == [0, 1]
+        assert line_positions(Tree(1, [])) == [0]
+
+    def test_a_line_run_roots_only_its_input_and_output_trees(self, monkeypatch):
+        rooted, root_at = [], trees.root_at
+
+        def counted(tree, root):
+            rooted.append((tree.n, root))
+            return root_at(tree, root)
+
+        for module in (trees, protocol_line):
+            if hasattr(module, "root_at"):
+                monkeypatch.setattr(module, "root_at", counted)
+        assert run_tree(path_tree(64)).report.ok
+        assert rooted == [(65, 32), (65, 32)]
 
 
 class TestProtocol:

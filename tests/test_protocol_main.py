@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from radiotopo import protocol_main
@@ -6,6 +8,7 @@ from radiotopo.generators import SplitMix, family_sticks, random_tree
 from radiotopo.harness import check_run, check_tr_delivery, run_tree
 from radiotopo.protocol_main import (
     GossipState,
+    MainProgram,
     ProtocolViolation,
     Subtree,
     aggregate_children,
@@ -39,19 +42,22 @@ def run_main(tree):
 
 
 class GossipOnly(NodeProgram):
-    """Wrapper driving a single gossip submachine with no other behavior;
-    it speaks in its slots and outputs once the gossip window has passed."""
+    """Drives one member's gossip state, or none, with no other behavior in
+    a window of m segments of m rounds from round 1: member i speaks in
+    round i of each segment, and every node outputs once the window has
+    passed."""
 
-    def __init__(self, state):
+    def __init__(self, state, m):
         super().__init__()
         self.state = state
         self.output = None
-        done = 1
         if state is not None:
-            done = state.window_start + state.m * state.m + 1
-            for slot_round in range(state.window_start + state.my_id, done, state.m):
-                self.at(slot_round, state.decide)
-        self.at(done, self._finish)
+            for slot_round in range(state.my_id, m * m + 1, m):
+                self.at(slot_round, self._speak)
+        self.at(m * m + 1, self._finish)
+
+    def _speak(self, round_no):
+        return self.state.message()
 
     def _finish(self, round_no):
         self.output = (Tree(1, []), 0)
@@ -75,16 +81,16 @@ def dummy_label(i):
 
 class TestRoundRobin:
     def test_single_member_knows_itself(self):
-        state = GossipState("core", 1, dummy_label(1), 1, 0)
-        programs = {0: GossipOnly(state), 1: GossipOnly(None)}
+        state = GossipState("core", 1, dummy_label(1))
+        programs = {0: GossipOnly(state, 1), 1: GossipOnly(None, 1)}
         simulate(path(2), programs, 5)
         assert state.labels == {1: dummy_label(1)}
         assert state.edges == set()
 
     def test_two_adjacent_members_learn_labels_and_edge(self):
-        a = GossipState("core", 1, dummy_label(1), 2, 0)
-        b = GossipState("core", 2, dummy_label(2), 2, 0)
-        programs = {0: GossipOnly(a), 1: GossipOnly(b)}
+        a = GossipState("core", 1, dummy_label(1))
+        b = GossipState("core", 2, dummy_label(2))
+        programs = {0: GossipOnly(a, 2), 1: GossipOnly(b, 2)}
         simulate(path(2), programs, 6)
         for state in (a, b):
             assert set(state.labels) == {1, 2}
@@ -109,10 +115,10 @@ class TestRoundRobin:
             programs = {}
             for v in range(tree.n):
                 if v in ids:
-                    states[v] = GossipState("core", ids[v], dummy_label(ids[v]), m, 0)
-                    programs[v] = GossipOnly(states[v])
+                    states[v] = GossipState("core", ids[v], dummy_label(ids[v]))
+                    programs[v] = GossipOnly(states[v], m)
                 else:
-                    programs[v] = GossipOnly(None)
+                    programs[v] = GossipOnly(None, m)
             simulate(tree, programs, m * m + 1)
             want_edges = {
                 (min(ids[u], ids[w]), max(ids[u], ids[w]))
@@ -123,6 +129,20 @@ class TestRoundRobin:
                 assert set(state.labels) == set(range(1, m + 1))
                 assert state.edges == want_edges
             checked += 1
+
+    @pytest.mark.parametrize("spec", [(16, 6, 4), (256, 6, 1)])
+    def test_share_id_outside_the_group_never_speaks(self, spec):
+        lb = label_tree(random_tree(*spec))
+        m = lb.params.core_size
+        label = next(lab for lab in lb.labels.values() if lab.degree_share)
+        lo, hi = phase_windows(m, 0, 0)["core_gossip"]
+        spoken = {}
+        for share_id in (0, 1, m, m + 1):
+            program = MainProgram(replace(label, degree_share=(share_id, label.degree_share[1])))
+            spoken[share_id] = [r for r in range(lo, hi + 1) if program.decide(r) is not None]
+        assert spoken[0] == spoken[m + 1] == []
+        assert spoken[1] == list(range(lo, hi + 1, m))
+        assert spoken[m] == list(range(lo + m - 1, hi + 1, m))
 
 
 class TestAggregation:

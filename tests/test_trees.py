@@ -411,6 +411,14 @@ class TestCoreSubtree:
         for v in nodes[1:]:
             assert rt.parent[v] in picked
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_trees(), st.integers(min_value=1, max_value=8), st.data())
+    def test_is_the_bfs_prefix_of_the_subtree(self, tree, m, data):
+        rt = root_at(tree, 0)
+        v = data.draw(st.integers(0, tree.n - 1))
+        if rt.subtree_size[v] >= m:
+            assert core_subtree(rt, v, m) == rt.subtree_nodes(v)[:m]
+
 
 class TestShapeCatalog:
     def test_single_node(self):
