@@ -259,8 +259,6 @@ class Family:
     build: Callable[[GenSpec], list[Tree]]
     # The GenSpec fields a batch grid sweeps; the others keep their defaults.
     axes: tuple[str, ...]
-    # Whether a batch passes each delta on as the star protocol's class bound.
-    star_class: bool
 
 
 _GRID = ("delta", "diameter", "seed")
@@ -271,14 +269,13 @@ FAMILY_TABLE = {
     "random": Family(
         lambda s: [random_tree(s.delta, s.diameter, s.seed + i) for i in range(s.count)],
         _GRID,
-        False,
     ),
-    "feas": Family(lambda s: family_feasibility(s.delta), ("delta",), False),
-    "diamLB": Family(lambda s: family_diam_lb(s.diameter, s.delta, s.seed, s.count), _GRID, False),
-    "degLB": Family(lambda s: family_deg_lb(s.delta, s.diameter, s.seed, s.count), _GRID, False),
-    "sticks": Family(lambda s: family_sticks(s.delta, s.diameter, s.seed, s.count), _GRID, False),
-    "lines": Family(lambda s: family_lines(s.diameter), ("diameter",), False),
-    "stars": Family(lambda s: family_stars(s.delta), ("delta",), True),
+    "feas": Family(lambda s: family_feasibility(s.delta), ("delta",)),
+    "diamLB": Family(lambda s: family_diam_lb(s.diameter, s.delta, s.seed, s.count), _GRID),
+    "degLB": Family(lambda s: family_deg_lb(s.delta, s.diameter, s.seed, s.count), _GRID),
+    "sticks": Family(lambda s: family_sticks(s.delta, s.diameter, s.seed, s.count), _GRID),
+    "lines": Family(lambda s: family_lines(s.diameter), ("diameter",)),
+    "stars": Family(lambda s: family_stars(s.delta), ("delta",)),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 

@@ -520,7 +520,9 @@ _CONFIG_KEY = {"delta": "delta", "diameter": "diameter", "seed": "seeds"}  # Gen
 
 
 def config_runs(config: dict):
-    """Expand a parsed config into (family, tree, delta_class, seed) items.
+    """Expand a parsed config into (family, tree, delta_class, seed) items;
+    delta_class, the star protocol's class bound, is the grid's delta, or
+    None for a family without a delta axis.
 
     Parameter combinations a family cannot realize are skipped, so one
     delta/diameter grid can drive several families at once.
@@ -535,9 +537,8 @@ def config_runs(config: dict):
                 trees = generate(spec)
             except InfeasibleFamily:
                 continue
-            star_delta = spec.delta if fam.star_class else None
             for tree in trees:
-                yield family, tree, star_delta, spec.seed
+                yield family, tree, spec.delta or None, spec.seed
 
 
 def run_experiment(config_text: str) -> tuple[str, bool]:

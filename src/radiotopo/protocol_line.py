@@ -8,6 +8,13 @@ tells everyone (k, segment).  Every transmission happens in a round congruent
 to the transmitter's position mod 3, so simultaneous transmitters are at
 least three apart and no listener ever faces two transmitting neighbors.
 
+The wave moves one position per round, so one rule places a node: if segment
+j's starter probes in round s and the node first hears the wave in round t,
+the node sits at position jL + 2 + (t - s).  The boundary and the relays take
+t from the probe, the tail past the last boundary from the boundary's answer.
+Only the starter (jL + 1) and a terminator placed by the tail's answer (k + 1)
+read their position off their role.  A placed node takes no further answer.
+
 Node types: 0 boundary/terminator, 1 starter, 2 bit carrier, 3 plain relay.
 """
 
@@ -95,21 +102,16 @@ def label_line(tree: Tree) -> dict[int, LineLabel]:
     segments = k // stride
     width = k.bit_length()  # payload positions per complete segment
     k_bits = bits_of(k)
-    type_of: dict[int, tuple[int, str, str]] = {}
-
-    def put(pos: int, node_type: int, k_bit: str = "0", seg_bit: str = "0") -> None:
-        if pos not in type_of:  # precedence: boundary > starter > carrier > relay
-            type_of[pos] = (node_type, k_bit, seg_bit)
-
-    put(k + 1, 0)
-    for j in range(1, max(segments, 1)):
-        put(j * stride, 0)
-    complete = range(segments - 1) if segments >= 2 else range(1)
-    for j in complete:
-        put(j * stride + 1, 1)
+    # Roles never share a position: the terminator k+1, the boundaries jL,
+    # and each complete segment's starter and carriers jL+1..(j+1)L-1.
+    type_of = {k + 1: (0, "0", "0")}
+    for j in range(1, segments):
+        type_of[j * stride] = (0, "0", "0")
+    for j in range(max(segments - 1, 1)):
+        type_of[j * stride + 1] = (1, "0", "0")
         seg_bits = bits_of(j, width=width)
         for i in range(1, width + 1):
-            put(j * stride + 1 + i, 2, k_bits[i - 1], seg_bits[i - 1])
+            type_of[j * stride + 1 + i] = (2, k_bits[i - 1], seg_bits[i - 1])
     distinct: dict[tuple, LineLabel] = {}  # a handful of values: build each once
     labels = {}
     for pos, node in enumerate(order, start=1):
@@ -134,9 +136,10 @@ def starter_round(segment: int, stride: int) -> int:
     return first_dedicated((segment * stride + 1) % 3)
 
 
-def boundary_tx_round(segment: int, stride: int) -> int:
-    """Round in which segment j's boundary answers: probe arrival plus one."""
-    return starter_round(segment, stride) + stride - 1
+def wave_position(k: int, segment: int, heard: int) -> int:
+    """Position of the node that first hears segment's wave in round heard."""
+    stride = stride_for(k)
+    return segment * stride + heard - starter_round(segment, stride) + 2
 
 
 class LineProgram(NodeProgram):
@@ -148,7 +151,6 @@ class LineProgram(NodeProgram):
         self.label = label
         self.trees = trees
         self.first_rx: Optional[int] = None  # forward-probe arrival round
-        self.resolved = False
         if label.kind is LabelKind.LINE_TINY:
             self.at(1, self._place, label.tiny_len, label.tiny_pos)
         elif label.node_type == 1:
@@ -171,42 +173,26 @@ class LineProgram(NodeProgram):
             _, kbits, segbits = message
             if lab.node_type == 2:
                 self.first_rx = round_no
-                grown = ("probe", kbits + lab.k_bit, segbits + lab.seg_bit)
-                self.send(relay_round, grown)
+                self.send(relay_round, ("probe", kbits + lab.k_bit, segbits + lab.seg_bit))
             elif lab.node_type == 3:
                 self.first_rx = round_no
                 self.send(relay_round, message)
             elif lab.node_type == 0 and kbits:
                 self.first_rx = round_no
-                k = int(kbits, 2)
-                segment = int(segbits, 2)
-                stride = stride_for(k)
-                self.resolved = True
-                pos = segment * stride + (round_no - starter_round(segment, stride) + 1) + 1
-                self._place(round_no, k, pos)
+                k, segment = int(kbits, 2), int(segbits, 2)
+                self._place(round_no, k, wave_position(k, segment, round_no))
                 self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
             return
-        if tag == "resolve":
-            if self.resolved:
-                return
+        if tag == "resolve" and self.output is None:
             _, k, segment, entry = message
-            stride = stride_for(k)
             if lab.node_type == 1:
                 if entry == (lab.pos_mod3 + 1) % 3:
-                    self.resolved = True
-                    self._place(round_no, k, segment * stride + 1)
-                return
-            self.resolved = True
-            if lab.node_type == 0:
+                    self._place(round_no, k, segment * stride_for(k) + 1)
+            elif lab.node_type == 0:
                 self._place(round_no, k, k + 1)  # terminator reached through the tail
-                return
-            if self.first_rx is not None:
-                pos = segment * stride + (self.first_rx - starter_round(segment, stride) + 1) + 1
-            else:
-                pos = (segment + 1) * stride + (round_no - boundary_tx_round(segment, stride) + 1)
-            self._place(round_no, k, pos)
-            self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
-            return
+            else:  # a relay heard the probe; a tail node hears the answer first
+                self._place(round_no, k, wave_position(k, segment, self.first_rx or round_no))
+                self.send(relay_round, ("resolve", k, segment, lab.pos_mod3))
 
 
 def line_programs(labels: dict[int, LineLabel]) -> dict[int, NodeProgram]:

@@ -238,7 +238,7 @@ class MainProgram(NodeProgram):
             self.at(self.windows["assemble"][0], self._assemble)
 
     def _relays_level_wave(self) -> bool:
-        """Whether this node forwards the level wave one step down.
+        """Whether this node, not the deep leaf, forwards the level wave one step down.
 
         Nodes whose labels prove them childless stay silent so the height
         wave can start unopposed; nodes provably internal must forward.  The
@@ -246,8 +246,6 @@ class MainProgram(NodeProgram):
         undecidable case the node forwards, like the unrestricted rule.
         """
         lab = self.label
-        if lab.marker(MARK_DEEP_LEAF):
-            return False
         if self.m == 1:
             return not lab.marker(MARK_GOSSIP_CORE)
         if lab.marker(MARK_HEAVY):

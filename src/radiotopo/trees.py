@@ -280,13 +280,12 @@ def parse_form(form: str) -> Tree:
 
 @dataclass(frozen=True)
 class ShapeCatalog:
-    """All rooted tree shapes of size 1..max_size, smallest first.
+    """All rooted tree shapes up to one size, smallest first.
 
     Within one size, shapes are ordered by ascending canonical form, giving
     every implementation-independent consumer the same 1-based indexing.
     """
 
-    max_size: int
     forms: tuple[str, ...]
 
     @cached_property
@@ -338,7 +337,7 @@ def enumerate_rooted_trees(max_size: int) -> ShapeCatalog:
     flat: list[str] = []
     for size in range(1, max_size + 1):
         flat.extend(by_size[size])
-    return ShapeCatalog(max_size=max_size, forms=tuple(flat))
+    return ShapeCatalog(forms=tuple(flat))
 
 
 def parse_tree_text(text: str) -> Tree:

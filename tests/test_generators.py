@@ -4,6 +4,7 @@ import pytest
 
 from radiotopo.generators import (
     FAMILIES,
+    FAMILY_TABLE,
     GenSpec,
     InfeasibleFamily,
     SplitMix,
@@ -142,7 +143,7 @@ class TestGenerate:
         runs = list(config_runs(config))
         assert [tree.edges for _, tree, _, _ in runs] == [t.edges for t in generate(spec)]
         assert {(fam, star_delta) for fam, _, star_delta, _ in runs} == {
-            (family, 4 if family == "stars" else None)
+            (family, 4 if "delta" in FAMILY_TABLE[family].axes else None)
         }
 
     def test_unknown_family_fails_the_batch(self):

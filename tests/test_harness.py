@@ -766,6 +766,53 @@ class TestCli:
         want = "verify: pass\n" if ok else "line check mod3 failed\nverify: fail\n"
         assert capsys.readouterr().out == want
 
+    def set_field(self, labels_file, node, i, bits):
+        """Replace field i of node's label in a labels file."""
+        labels = labels_from_text(labels_file.read_text())
+        lab = labels[node]
+        labels[node] = StructuredLabel(lab.kind, lab.fields[:i] + (bits,) + lab.fields[i + 1:])
+        labels_file.write_text(labels_to_text(labels))
+
+    def test_verify_reports_a_replay_that_fails(self, tmp_path, capsys):
+        # Node 0, segment 0's starter, turns relay (type 3): no probe ever
+        # leaves, and the 8 nodes of segment 0 wait for one forever.
+        files = self.record(tmp_path, path_tree(40))
+        self.set_field(tmp_path / "t.labels", 0, 0, "011")
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        fault, verdict = capsys.readouterr().out.splitlines()
+        assert fault.startswith("replay failed: no output from 8 of 41 nodes within the round limit")
+        assert verdict == "verify: fail"
+
+    def test_verify_reports_invalid_placements(self, tmp_path, capsys):
+        # A position mod 3 of 7 makes node 0 probe in round 3, not 1: the
+        # wave reaches segment 0's other nodes two rounds late.
+        files = self.record(tmp_path, path_tree(40))
+        self.set_field(tmp_path / "t.labels", 0, 3, "111")
+        recorded = ["--transcript", files["transcript"], "--outputs", files["outputs"]]
+        assert cli_main(["run", "--tree", files["tree"], "--labels", files["labels"], *recorded]) == 1
+        capsys.readouterr()
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == (
+            "line check mod3 failed\ninvalid placements: [1, 2, 3, 4, 5, 6, 7]\nverify: fail\n"
+        )
+
+    def test_labels_of_two_protocols_in_one_file(self, tmp_path, capsys):
+        files = self.record(tmp_path, path_tree(40))
+        self.record(tmp_path, star_tree(6), "star")
+        leaf = (tmp_path / "star.labels").read_text().splitlines()[1]
+        assert leaf.split()[1] == "StarLeaf"
+        labels_file = tmp_path / "t.labels"
+        lines = labels_file.read_text().splitlines()
+        lines[40] = "40 " + leaf.split(" ", 1)[1]  # node 40 of the line gets a star leaf's label
+        labels_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["run", "--tree", files["tree"], "--labels", files["labels"]]) == 2
+        reason = "labels must belong to one protocol, not ['line', 'star']"
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert self.verify(files) == 1
+        assert capsys.readouterr().out == f"labels do not fit the tree: {reason}\nverify: fail\n"
+
     @pytest.mark.parametrize(
         "tree, donor, reason",
         [
