@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run every single-field mutation of the labels of a few trees and count
-how each run ends.
+"""Run every single-field mutation, swap and shuffle of the labels of a few
+trees and count how each run ends.
 
 Usage: python scripts/mutation_sweep.py
 
@@ -13,25 +13,29 @@ the label's core size, and its core-size field (field 10) to k ones for
 each k in WIDE_CORE, a gossip window of (2^k - 1)^2 rounds.  Each main-scheme
 tree also runs with a consistent lie for each k in WIDE_CORE: every label
 says core size k, and the root's first k nodes in BFS order spread a degree
-of 4k one-bits, which fits that core size.  A run may end
-as a valid run, an invalid run (outputs that do not place the nodes), a
-failed run (RunFailed, exit 1 on the command line; a stall, where some node
-has no output within the round budget, is counted apart as a round limit)
-or a malformed label (MalformedLabel, exit 2).  A RunFailed chained to a
-cause that is not a RunFailed is a program crash the simulator wrapped; it
-is counted as a wrapped error, by the cause's type.  Any other exception is
-counted by type:
-a ValueError is a run-time fault the command line would report as bad usage
-(exit 2), anything else a traceback.  A run still going after RUN_LIMIT_S
-seconds is stopped and counted as over the limit.  Exits nonzero if any
-run ends in one of those.
+of 4k one-bits, which fits that core size.  The permutation sweep then runs
+each tree with its correct labels moved between nodes: every swap of two
+nodes' unequal labels, and SHUFFLES shuffles of all of them drawn from
+random.Random(1), seeded afresh per tree.  A run may end as a valid run,
+an invalid run (outputs that do not place the nodes), a failed run
+(RunFailed, exit 1 on the command line; a stall, where some node has no
+output within the round budget, is counted apart as a round limit) or a
+malformed label (MalformedLabel, exit 2).  A RunFailed chained to a cause
+that is not a RunFailed is a program crash the simulator wrapped; it is
+counted as a wrapped error, by the cause's type.  Any other exception is
+counted by type: a ValueError is a run-time fault the command line would
+report as bad usage (exit 2), anything else a traceback.  A run still
+going after RUN_LIMIT_S seconds is stopped and counted as over the limit.
+Exits nonzero if any run of either sweep ends in one of those.
 """
 
+import random
 import signal
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed
 from radiotopo.generators import random_tree
@@ -55,6 +59,7 @@ TREES = {
 
 WIDE_DEGREE = (20, 64)
 WIDE_CORE = (16, 24)
+SHUFFLES = 30
 RUN_LIMIT_S = 5.0
 
 
@@ -143,27 +148,62 @@ def tree_outcomes(tree: Tree) -> Counter:
     return counts
 
 
-def sweep() -> dict[str, Counter]:
-    """How the runs end, counted per tree of TREES."""
+def label_permutations(labels: dict, rng: random.Random) -> list[dict]:
+    """Every swap of two nodes' unequal labels, then SHUFFLES shuffles of all."""
+    nodes = sorted(labels)
+    perms = [
+        {**labels, u: labels[v], v: labels[u]}
+        for u, v in combinations(nodes, 2)
+        if labels[u] != labels[v]
+    ]
+    for _ in range(SHUFFLES):
+        values = [labels[v] for v in nodes]
+        rng.shuffle(values)
+        perms.append(dict(zip(nodes, values)))
+    return perms
+
+
+def tree_permutation_outcomes(tree: Tree) -> Counter:
+    """How the runs of every swap and shuffle of the tree's labels end, by outcome."""
+    labels = run_tree(tree).structured
+    return Counter(outcome(tree, perm) for perm in label_permutations(labels, random.Random(1)))
+
+
+def _each_tree(tree_counts) -> dict[str, Counter]:
     previous = signal.signal(signal.SIGALRM, _alarm)
     try:
-        return {name: tree_outcomes(tree) for name, tree in TREES.items()}
+        return {name: tree_counts(tree) for name, tree in TREES.items()}
     finally:
         signal.signal(signal.SIGALRM, previous)
 
 
-def main() -> int:
+def sweep() -> dict[str, Counter]:
+    """How the mutated runs end, counted per tree of TREES."""
+    return _each_tree(tree_outcomes)
+
+
+def permutation_sweep() -> dict[str, Counter]:
+    """How the swapped and shuffled runs end, counted per tree of TREES."""
+    return _each_tree(tree_permutation_outcomes)
+
+
+def report(what: str, run_sweep) -> int:
+    """Print how the runs of one sweep end; returns how many end in a fault."""
     start = time.time()
     total: Counter = Counter()
-    for name, counts in sweep().items():
-        print(f"{name}: {sum(counts.values())} mutations, {dict(sorted(counts.items()))}")
+    for name, counts in run_sweep().items():
+        print(f"{name}: {sum(counts.values())} {what}, {dict(sorted(counts.items()))}")
         total += counts
-    print(f"all: {sum(total.values())} mutations in {time.time() - start:.1f}s")
+    print(f"all: {sum(total.values())} {what} in {time.time() - start:.1f}s")
     for kind, count in sorted(total.items()):
         print(f"  {kind:40} {count}")
-    bad = sum(
+    return sum(
         c for k, c in total.items() if k.startswith(("run-time", "traceback", "bare", "over", "wrapped"))
     )
+
+
+def main() -> int:
+    bad = report("mutations", sweep) + report("permutations", permutation_sweep)
     return 1 if bad else 0
 
 

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .engine import RunFailed
-from .generators import FAMILIES, GenSpec, InfeasibleFamily, generate
+from .generators import FAMILIES, GenSpec, generate
 from .harness import (
     CSV_HEADER,
     dispatch_protocol,
@@ -24,7 +24,7 @@ from .harness import (
     structured_labels_for,
 )
 from .labels import labels_from_text, labels_to_text
-from .trees import Tree, TreeError, parse_tree_text, tree_to_text
+from .trees import Tree, parse_tree_text, tree_to_text
 
 
 def _load_tree(path: str) -> Tree:
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     except RunFailed as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    except (TreeError, InfeasibleFamily, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

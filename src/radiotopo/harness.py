@@ -1,14 +1,15 @@
 """End-to-end runner: label, dispatch, simulate, verify, batch, certify.
 
-Every protocol is one entry of the ordered table ``PROTOCOLS``: the label
-kinds it owns, the trees it applies to, its labeler, its program builder and
-its checks.  Run, verify and batch all select a protocol through the table,
-by tree shape (the first entry whose test applies: degree <= 2 runs the line
-protocol for any diameter, diameter 2 the star protocol, diameter 3 the
-two-hub protocol, everything else the general one) or by the kinds of a given
-label set.  Either way the protocol's labeler labels the tree, and the checks
-read the labeler's view of it; given labels only drive the programs and the
-report, so a check judges the tree, not what the labels claim.
+Every protocol is one entry of the ordered table ``PROTOCOLS``, naming its
+own parts: the label kinds it owns, the trees it applies to, its label class,
+its labeler, its program builder and its checks; the harness alone converts
+and decodes labels.  Run, verify and batch all select a protocol through the
+table, by tree shape (the first entry whose test applies: degree <= 2 runs
+the line protocol for any diameter, diameter 2 the star protocol, diameter 3
+the two-hub protocol, everything else the general one) or by the kinds of a
+given label set.  Either way the protocol's labeler labels the tree, and the
+checks read the labeler's view of it; given labels only drive the programs
+and the report, so a check judges the tree, not what the labels claim.
 """
 
 from __future__ import annotations
@@ -114,26 +115,22 @@ def check_tr_delivery(
 
 def check_mod3(transcript: Transcript, line_labels: dict) -> list[int]:
     """Rounds in which transmitters straddle more than one residue class."""
-    bad = []
-    for round_no, rec in transcript.records.items():
-        labs = [line_labels[tx] for tx in rec.transmitters]
-        residues = {-1 if lab.kind.value == "LineTiny" else lab.pos_mod3 for lab in labs}
-        if len(residues) > 1:
-            bad.append(round_no)
-    return bad
+    return [
+        round_no for round_no, rec in transcript.records.items()
+        if len({-1 if line_labels[tx].kind is LabelKind.LINE_TINY else line_labels[tx].pos_mod3
+                for tx in rec.transmitters}) > 1
+    ]
 
 
 def _main_checks(transcript: Transcript, labeled: LabeledTree):
+    # The phase windows tile rounds 1..end: a round is in one iff it is <= end.
     params = labeled.params
     windows = protocol_main.phase_windows(params.core_size, labeled.rooted.height, params.block_len)
-    spans = sorted(windows.values())
+    end = windows["assemble"][1]
     return {
         "tr_delivery": not check_tr_delivery(transcript, labeled, windows["collect"]),
-        "round_bound": max(transcript.output_round.values(), default=0) <= windows["assemble"][1],
-        "phase_windows": all(
-            not rec.transmitters or any(lo <= rnd <= hi for lo, hi in spans)
-            for rnd, rec in transcript.records.items()
-        ),
+        "round_bound": max(transcript.output_round.values(), default=0) <= end,
+        "phase_windows": max(transcript.records, default=0) <= end,
     }
 
 
@@ -152,11 +149,6 @@ def _decoded_label(label_cls, label: StructuredLabel):
     return label_cls.from_structured(label)
 
 
-def _structured(labels: dict) -> dict[int, StructuredLabel]:
-    """Structured labels by node; equal labels share one structured label."""
-    return {v: _structured_label(lab) for v, lab in labels.items()}
-
-
 def _decoded(label_cls, structured: dict[int, StructuredLabel]) -> dict:
     """Protocol labels by node; equal structured labels share one decoded
     label.  A malformed one names the first node that holds it."""
@@ -169,72 +161,59 @@ def _decoded(label_cls, structured: dict[int, StructuredLabel]) -> dict:
     return decoded
 
 
-def _label_main(tree: Tree, star_delta: Optional[int]):
-    labeled = label_tree(tree)
-    return _structured(labeled.labels), labeled
-
-
-def _label_line(tree: Tree, star_delta: Optional[int]):
-    labels = protocol_line.label_line(tree)
-    return _structured(labels), labels
-
-
-def _carrier_programs(structured: dict[int, StructuredLabel]) -> dict[int, NodeProgram]:
-    return protocol_small.carrier_programs(_decoded(protocol_small.CarrierLabel, structured))
-
-
 @dataclass(frozen=True)
 class Protocol:
     name: str
     kinds: frozenset[LabelKind]  # the label kinds this protocol owns
     applies: Callable[[Tree], bool]  # tried in table order
-    # (tree, star class bound) -> (structured labels, check context)
-    label: Callable[[Tree, Optional[int]], tuple[dict[int, StructuredLabel], object]]
-    programs: Callable[[dict[int, StructuredLabel]], dict[int, NodeProgram]]
+    label_cls: type  # its labels' class: to_structured, from_structured
+    # (tree, star class bound) -> (its labels by node, check context)
+    label: Callable[[Tree, Optional[int]], tuple[dict, object]]
+    programs: Callable[[dict], dict[int, NodeProgram]]  # its labels by node -> programs
     checks: Callable[[Transcript, object], dict[str, bool]]  # (transcript, check context)
 
 
-PROTOCOLS: dict[str, Protocol] = {
-    p.name: p
-    for p in (
-        Protocol(
-            name="line",
-            kinds=frozenset({LabelKind.LINE, LabelKind.LINE_TINY}),
-            applies=lambda tree: tree.n <= 2 or tree.max_degree <= 2,
-            label=_label_line,
-            programs=lambda s: protocol_line.line_programs(_decoded(protocol_line.LineLabel, s)),
-            checks=lambda transcript, labels: {"mod3": not check_mod3(transcript, labels)},
+_PROTOCOLS = (
+    Protocol(
+        name="line",
+        kinds=frozenset({LabelKind.LINE, LabelKind.LINE_TINY}),
+        applies=lambda tree: tree.n <= 2 or tree.max_degree <= 2,
+        label_cls=protocol_line.LineLabel,
+        label=lambda tree, star_delta: ((labels := protocol_line.label_line(tree)), labels),
+        programs=protocol_line.line_programs,
+        checks=lambda transcript, labels: {"mod3": not check_mod3(transcript, labels)},
+    ),
+    Protocol(
+        name="star",
+        kinds=frozenset({LabelKind.STAR_LEAF, LabelKind.STAR_LEAF_NULL, LabelKind.STAR_CENTER}),
+        applies=lambda tree: tree.diameter == 2,
+        label_cls=protocol_small.CarrierLabel,
+        label=lambda tree, star_delta: (protocol_small.label_star(tree, star_delta), None),
+        programs=protocol_small.carrier_programs,
+        checks=lambda transcript, context: {},
+    ),
+    Protocol(
+        name="d3",
+        kinds=frozenset(
+            {LabelKind.D3_ROOT, LabelKind.D3_HUB, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL}
         ),
-        Protocol(
-            name="star",
-            kinds=frozenset({LabelKind.STAR_LEAF, LabelKind.STAR_LEAF_NULL, LabelKind.STAR_CENTER}),
-            applies=lambda tree: tree.diameter == 2,
-            label=lambda tree, star_delta: (
-                _structured(protocol_small.label_star(tree, star_delta)), None
-            ),
-            programs=_carrier_programs,
-            checks=lambda transcript, context: {},
-        ),
-        Protocol(
-            name="d3",
-            kinds=frozenset(
-                {LabelKind.D3_ROOT, LabelKind.D3_HUB, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL}
-            ),
-            applies=lambda tree: tree.diameter == 3,
-            label=lambda tree, star_delta: (_structured(protocol_small.label_d3(tree)), None),
-            programs=_carrier_programs,
-            checks=lambda transcript, context: {},
-        ),
-        Protocol(
-            name="main",
-            kinds=frozenset({LabelKind.MAIN_SCHEME}),
-            applies=lambda tree: True,
-            label=_label_main,
-            programs=lambda s: protocol_main.main_programs(_decoded(MainLabel, s)),
-            checks=_main_checks,
-        ),
-    )
-}
+        applies=lambda tree: tree.diameter == 3,
+        label_cls=protocol_small.CarrierLabel,
+        label=lambda tree, star_delta: (protocol_small.label_d3(tree), None),
+        programs=protocol_small.carrier_programs,
+        checks=lambda transcript, context: {},
+    ),
+    Protocol(
+        name="main",
+        kinds=frozenset({LabelKind.MAIN_SCHEME}),
+        applies=lambda tree: True,
+        label_cls=MainLabel,
+        label=lambda tree, star_delta: ((labeled := label_tree(tree)).labels, labeled),
+        programs=protocol_main.main_programs,
+        checks=_main_checks,
+    ),
+)
+PROTOCOLS: dict[str, Protocol] = {p.name: p for p in _PROTOCOLS}
 
 
 def dispatch_protocol(tree: Tree) -> str:
@@ -242,12 +221,15 @@ def dispatch_protocol(tree: Tree) -> str:
 
 
 def structured_labels_for(tree: Tree, protocol: str, star_delta: Optional[int] = None):
-    """Per-node structured labels plus the protocol's check context."""
-    return PROTOCOLS[protocol].label(tree, star_delta)
+    """Per-node structured labels plus the protocol's check context; equal
+    labels share one structured label."""
+    labels, context = PROTOCOLS[protocol].label(tree, star_delta)
+    return {v: _structured_label(lab) for v, lab in labels.items()}, context
 
 
 def programs_from_structured(structured: dict[int, StructuredLabel], protocol: str):
-    return PROTOCOLS[protocol].programs(structured)
+    p = PROTOCOLS[protocol]
+    return p.programs(_decoded(p.label_cls, structured))
 
 
 def label_owner(labels: dict[int, StructuredLabel]) -> str:

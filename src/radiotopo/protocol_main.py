@@ -220,6 +220,8 @@ class MainProgram(NodeProgram):
             return
         if self.level is not None and height < self.level:
             raise ProtocolViolation(f"learned height {height} below its own level {self.level}")
+        if self.params is None:
+            raise ProtocolViolation("learned the height before the maximum degree")
         self.height = height
         self.round_height = round_no
         e = self.params.block_len

@@ -150,6 +150,22 @@ class TestSimulateContract:
                                   "nodes 0, 1, 2, 3, 4, 5, 6, 7, ...; node 0: ")
         assert len(message) <= RoundLimitExceeded.MAX_LEN
 
+    def test_round_limit_message_past_its_bound_is_cut(self):
+        class Late(NodeProgram):
+            def __init__(self):
+                super().__init__()
+                self.send(10**100, "late")  # each explained node prints this 101-digit round
+
+            def receive(self, round_no, message):
+                pass
+
+        with pytest.raises(RoundLimitExceeded) as err:
+            simulate(path(3), {v: Late() for v in range(3)}, 5)
+        assert err.value.missing == [0, 1, 2]
+        message = str(err.value)
+        assert len(message) == RoundLimitExceeded.MAX_LEN == 300
+        assert message.endswith("...")
+
     def test_program_fault_fails_the_run_at_its_node(self):
         class FaultyDecide(Script):
             def __init__(self):
@@ -478,6 +494,18 @@ def test_mutation_sweep_totals():
         "run failed": 964,
         "run failed (round limit)": 190,
         "valid run": 1237,
+    }
+
+
+def test_permutation_sweep_totals():
+    # Every swap and shuffle of the correct labels in scripts/mutation_sweep.py
+    # ends the way it did when these totals were recorded, and none crashes.
+    total = sum(_mutation_sweep().permutation_sweep().values(), Counter())
+    assert total == {
+        "invalid run": 479,
+        "run failed": 400,
+        "run failed (round limit)": 569,
+        "valid run": 81,
     }
 
 

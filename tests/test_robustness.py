@@ -2,7 +2,8 @@
 
 A single-field mutation of one node's label must give a run that returns
 (valid or not), a RunFailed (exit 1 on the command line) or a MalformedLabel
-(exit 2), never another exception.
+(exit 2), never another exception.  Correct labels moved between nodes must
+give a run that returns or fails for a reason of the program's own.
 """
 
 import dataclasses
@@ -66,6 +67,28 @@ def test_random_field_contents_end_cleanly(data):
     field = data.draw(st.integers(0, len(labels[node].fields) - 1))
     bits = data.draw(st.text(alphabet="01", max_size=8))
     ends_cleanly(TREES[name], mutated(labels, node, field, bits))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(order=st.permutations(range(TREES["main"].n)))
+def test_permuted_labels_end_cleanly(order):
+    # A crash the simulator wrapped is a RunFailed too, so ends_cleanly cannot
+    # see it: a failure must be the program's own, with no foreign cause.
+    labels = LABELS["main"]
+    try:
+        run_tree(TREES["main"], preset_labels={v: labels[u] for v, u in enumerate(order)})
+    except RunFailed as exc:
+        assert exc.__cause__ is None or isinstance(exc.__cause__, RunFailed)
+
+
+def test_height_heard_before_the_degree_fails_the_run():
+    # With the labels of nodes 3 and 20 swapped, node 4 hears the height
+    # flood before any level wave has told it the maximum degree.
+    labels = LABELS["main"]
+    with pytest.raises(RunFailed) as err:
+        run_tree(TREES["main"], preset_labels={**labels, 3: labels[20], 20: labels[3]})
+    assert str(err.value) == "node 4, round 13: learned the height before the maximum degree"
+    assert err.value.__cause__ is None
 
 
 def run_mutated(tmp_path, capsys, tree, node, field, bits):

@@ -1,0 +1,36 @@
+"""Smoke runs of the report scripts.
+
+Each script runs at a small size in a fresh interpreter, must exit 0 and
+print its header first, so a rename in the package cannot leave one broken.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, header",
+    [
+        ("round_scaling.py", ["4"], "  D   degree    nodes   rounds  rounds/(D*degree)  seconds"),
+        ("label_scaling.py", ["4", "5"], "    degree    nodes  max label bits"),
+        ("cli_memory.py", ["16"], "random_tree(16, 8, 1): n = 29"),
+    ],
+)
+def test_report_script_runs(tmp_path, script, args, header):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == header
