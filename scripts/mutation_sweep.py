@@ -16,7 +16,12 @@ says core size k, and the root's first k nodes in BFS order spread a degree
 of 4k one-bits, which fits that core size.  The permutation sweep then runs
 each tree with its correct labels moved between nodes: every swap of two
 nodes' unequal labels, and SHUFFLES shuffles of all of them drawn from
-random.Random(1), seeded afresh per tree.  A run may end as a valid run,
+random.Random(1), seeded afresh per tree.  The borrowed-label sweep runs
+each tree once with the labels of a partner tree: the first tree, in a fixed
+order, that moves one leaf to another node and keeps the same owning
+protocol but not the same shape.  A line, a star and a three-node tree have
+no such partner (every tree of their size and protocol has their shape), so
+they get no borrowed case.  A run may end as a valid run,
 an invalid run (outputs that do not place the nodes), a failed run
 (RunFailed, exit 1 on the command line; a stall, where some node has no
 output within the round budget, is counted apart as a round limit) or a
@@ -26,7 +31,7 @@ counted as a wrapped error, by the cause's type.  Any other exception is
 counted by type: a ValueError is a run-time fault the command line would
 report as bad usage (exit 2), anything else a traceback.  A run still
 going after RUN_LIMIT_S seconds is stopped and counted as over the limit.
-Exits nonzero if any run of either sweep ends in one of those.
+Exits nonzero if any run of any of the three sweeps ends in one of those.
 """
 
 import random
@@ -36,15 +41,16 @@ import time
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from typing import Optional
 
 from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed
 from radiotopo.generators import random_tree
-from radiotopo.harness import run_tree
+from radiotopo.harness import dispatch_protocol, run_tree
 from radiotopo.labels import LabelKind, StructuredLabel
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.scheme import bits_of, chunk, label_tree
-from radiotopo.trees import Tree
+from radiotopo.trees import Tree, root_at
 
 TREES = {
     "path_tree(3)": path_tree(3),
@@ -169,6 +175,37 @@ def tree_permutation_outcomes(tree: Tree) -> Counter:
     return Counter(outcome(tree, perm) for perm in label_permutations(labels, random.Random(1)))
 
 
+def shape(tree: Tree) -> str:
+    """The least center-rooted canonical form: equal exactly for isomorphic trees."""
+    return min(root_at(tree, c).form(c) for c in tree.center)
+
+
+def borrowed_partner(tree: Tree) -> Optional[Tree]:
+    """The first tree that moves one leaf of tree (highest id first) to
+    another node (lowest id first) and has tree's owning protocol but not
+    its shape, or None if no move gives one."""
+    protocol, form = dispatch_protocol(tree), shape(tree)
+    for leaf in reversed(range(tree.n)):
+        if tree.degree(leaf) != 1:
+            continue
+        kept = [e for e in tree.edges if leaf not in e]
+        for target in range(tree.n):
+            if target == leaf or target in tree.adjacency[leaf]:
+                continue
+            other = Tree(tree.n, kept + [(leaf, target)])
+            if dispatch_protocol(other) == protocol and shape(other) != form:
+                return other
+    return None
+
+
+def tree_borrowed_outcomes(tree: Tree) -> Counter:
+    """How the run of the tree with its partner's labels ends, if it has a partner."""
+    other = borrowed_partner(tree)
+    if other is None:
+        return Counter()
+    return Counter([outcome(tree, run_tree(other).structured)])
+
+
 def _each_tree(tree_counts) -> dict[str, Counter]:
     previous = signal.signal(signal.SIGALRM, _alarm)
     try:
@@ -187,6 +224,11 @@ def permutation_sweep() -> dict[str, Counter]:
     return _each_tree(tree_permutation_outcomes)
 
 
+def borrowed_sweep() -> dict[str, Counter]:
+    """How the runs with a partner tree's labels end, counted per tree of TREES."""
+    return _each_tree(tree_borrowed_outcomes)
+
+
 def report(what: str, run_sweep) -> int:
     """Print how the runs of one sweep end; returns how many end in a fault."""
     start = time.time()
@@ -203,7 +245,11 @@ def report(what: str, run_sweep) -> int:
 
 
 def main() -> int:
-    bad = report("mutations", sweep) + report("permutations", permutation_sweep)
+    bad = (
+        report("mutations", sweep)
+        + report("permutations", permutation_sweep)
+        + report("borrowed label sets", borrowed_sweep)
+    )
     return 1 if bad else 0
 
 

@@ -4,9 +4,11 @@
 Usage: python scripts/round_scaling.py [max_exp]   (default 14, at most 16)
 
 For diameter D = 4 and 8 and degree 2^4 .. 2^max_exp, runs
-random_tree(degree, D, 1) end to end and prints its completion round and
-rounds / (D * degree), the constant of the paper's O(D * degree) bound.  The
-table only reports; no bound is checked.
+random_tree(degree, D, 1) end to end and prints its completion round,
+rounds / (D * degree), the constant of the paper's O(D * degree) bound, the
+run's deliveries (a listener hearing its one transmitting neighbor) and the
+whole run_tree time per delivery in microseconds.  The table only reports;
+no bound is checked.
 """
 
 import sys
@@ -21,19 +23,24 @@ def main() -> int:
     if not 4 <= hi <= 16:
         print("max_exp must be in 4..16", file=sys.stderr)
         return 2
-    print(f"{'D':>3} {'degree':>8} {'nodes':>8} {'rounds':>8} {'rounds/(D*degree)':>18} {'seconds':>8}")
+    print(f"{'D':>3} {'degree':>8} {'nodes':>8} {'rounds':>8} {'rounds/(D*degree)':>18} "
+          f"{'seconds':>8} {'deliveries':>10} {'us/delivery':>11}")
     for diameter in (4, 8):
         for exp in range(4, hi + 1):
             start = time.time()
             art = run_tree(random_tree(1 << exp, diameter, 1))
+            seconds = time.time() - start
             rep = art.report
             ratio = rep.rounds / (rep.diameter * rep.delta)
+            deliveries = sum(len(rec.deliveries) for rec in art.transcript.records.values())
             print(f"{rep.diameter:>3} {f'2^{exp}':>8} {rep.n:>8} {rep.rounds:>8} "
-                  f"{ratio:>18.2f} {time.time() - start:>8.1f}", flush=True)
+                  f"{ratio:>18.2f} {seconds:>8.1f} {deliveries:>10} "
+                  f"{1e6 * seconds / deliveries:>11.2f}", flush=True)
             if not rep.ok:
                 print(f"run on degree 2^{exp}, D {diameter} does not place every node",
                       file=sys.stderr)
                 return 1
+            del art  # freed here, not inside the next run's timing
     return 0
 
 

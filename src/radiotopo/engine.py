@@ -198,7 +198,7 @@ def simulate(
     while pending and heap and heap[0] <= max_rounds:
         round_no = heapq.heappop(heap)
         called = sorted(due.pop(round_no))
-        payloads: dict[int, object] = {}
+        payloads: dict[int, object] = {}  # in node order, as called is sorted
         # One handler for every program call of the round; v is the caller.
         try:
             for v in called:
@@ -216,7 +216,7 @@ def simulate(
                     if program.new_rounds:
                         queue(v, program.new_rounds, round_no)
                 called.extend(v for v, _ in deliveries)
-                transcript.records[round_no] = RoundRecord(tuple(sorted(payloads)), tuple(deliveries))
+                transcript.records[round_no] = RoundRecord(tuple(payloads), tuple(deliveries))
         except RunFailed as exc:
             exc.args = (f"node {v}, round {round_no}: {exc}",)
             raise

@@ -327,10 +327,13 @@ def run_tree(
     """Label, run and check one tree; the checks read the labeler's view of it.
     Preset labels pick their owner protocol and drive the programs and the report.
     A labeler that rejects the tree raises ValueError, a failed run RunFailed."""
-    proto = dispatch_protocol(tree) if preset_labels is None else label_owner(preset_labels)
-    structured, context = structured_labels_for(tree, proto, star_delta)
-    if preset_labels is not None:
-        structured = preset_labels
+    if preset_labels is None:
+        proto = dispatch_protocol(tree)
+        structured, context = structured_labels_for(tree, proto, star_delta)
+    else:
+        # The labeler still runs: it rejects a tree its protocol cannot label.
+        proto = label_owner(preset_labels)
+        structured, context = preset_labels, PROTOCOLS[proto].label(tree, star_delta)[1]
     programs = programs_from_structured(structured, proto)
     budget = default_round_budget(max(2, tree.max_degree), max(2, tree.diameter))
     outputs, transcript, metrics = simulate(tree, programs, budget)

@@ -16,6 +16,13 @@ maximum degree; a node puts each step on its agenda at a round read from it:
 The core window and the start of "parameter" depend on m alone, which every
 label carries; a node knows the rest once it has learned h and E, strictly
 before it needs them.
+
+A run's programs share one memo dict, made by main_programs, for the facts
+every member of a group derives alike: the schedule of each (m, h, E),
+under ("windows", m, h, E), and the canonical forms of each gossiped group
+shape, under ("group", size, sorted edges), so one rooting serves every
+member.  Entries are read-only once stored, and the memo lives as long as
+the run's programs.
 """
 
 from __future__ import annotations
@@ -57,38 +64,63 @@ class GossipState:
     message(), first announcing itself and afterwards everything it has
     heard.  Hearing any member directly also reveals the connecting edge,
     so after m segments of m slots every member knows the group's labels
-    and its full edge set."""
+    and its full edge set.  The message is sorted once per change: absorb
+    drops it only when it changes a label or adds an edge."""
 
     def __init__(self, tag: str, my_id: int, my_label: MainLabel):
         self.tag = tag
         self.my_id = my_id
         self.labels: dict[int, MainLabel] = {my_id: my_label}
         self.edges: set[tuple[int, int]] = set()
+        self._message: Optional[tuple] = None
 
     def message(self) -> tuple:
-        labels, edges = tuple(sorted(self.labels.items())), tuple(sorted(self.edges))
-        return ("gossip", self.tag, self.my_id, labels, edges)
+        if self._message is None:
+            labels, edges = tuple(sorted(self.labels.items())), tuple(sorted(self.edges))
+            self._message = ("gossip", self.tag, self.my_id, labels, edges)
+        return self._message
 
     def absorb(self, message: tuple) -> None:
         _, _, sender, labels, edges = message
-        self.labels.update(labels)
+        known = self.labels
+        changed = False
+        for gid, lab in labels:
+            # Contradicting labels may give one id a second label, which replaces the first.
+            if known.get(gid) is not lab:
+                known[gid] = lab
+                changed = True
+        size = len(self.edges)
         self.edges.update(edges)
         self.edges.add((min(self.my_id, sender), max(self.my_id, sender)))
+        if changed or len(self.edges) != size:
+            self._message = None
 
 
 def gossip_subtree(
-    labels: dict[int, MainLabel], edges: set[tuple[int, int]], my_gid: int
+    labels: dict[int, MainLabel],
+    edges: set[tuple[int, int]],
+    my_gid: int,
+    memo: Optional[dict] = None,
 ) -> Subtree:
     """Subtree of the gossiped group hanging at member my_gid, with the group
-    rooted at id 1; its layout is its canonical form."""
+    rooted at id 1; its layout is its canonical form.  A memo holds the
+    forms of each group shape that passed as a tree, so members of equal
+    groups build, validate and root one Tree; a group that fails stores
+    nothing, and each member raises alike."""
     ids = sorted(labels)
     if ids != list(range(1, len(ids) + 1)):
         raise ProtocolViolation(f"gossip ids not contiguous: {ids}")
-    try:
-        group = Tree(len(ids), [(a - 1, b - 1) for a, b in edges])
-    except TreeError as exc:
-        raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from None
-    form = root_at(group, 0).form(my_gid - 1)
+    key = ("group", len(ids), tuple(sorted(edges)))
+    forms = None if memo is None else memo.get(key)
+    if forms is None:
+        try:
+            group = Tree(len(ids), [(a - 1, b - 1) for a, b in edges])
+        except TreeError as exc:
+            raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from None
+        forms = root_at(group, 0).forms
+        if memo is not None:
+            memo[key] = forms
+    form = forms[my_gid - 1]
     return Subtree(form, form)
 
 
@@ -156,16 +188,18 @@ def phase_windows(m: int, h: int, e: int) -> dict[str, tuple[int, int]]:
 
 
 class MainProgram(NodeProgram):
-    """State machine run by every node of a labeled tree."""
+    """State machine run by every node of a labeled tree.  memo is the run's
+    shared memo (see the module docstring); a program built alone gets its own."""
 
-    def __init__(self, label: MainLabel):
+    def __init__(self, label: MainLabel, memo: Optional[dict] = None):
         super().__init__()
         self.label = label
+        self.memo = {} if memo is None else memo
         self.m = label.core_size
         self.is_root = label.marker(MARK_ROOT)
         # The core window and the start of "parameter" do not depend on h or
         # E; the full schedule replaces this once the height is known.
-        self.windows = phase_windows(self.m, 0, 0)
+        self.windows = self._schedule(0, 0)
 
         self.delta: Optional[int] = None
         self.params: Optional[SchemeParams] = None
@@ -189,6 +223,14 @@ class MainProgram(NodeProgram):
         self.flood_seen = False
         self.tr_transmits = label.marker(MARK_HEAVY) or label.count_share is not None
         self.child_epoch = (0, -1)  # inclusive round window of children's epoch
+
+    def _schedule(self, h: int, e: int) -> dict[str, tuple[int, int]]:
+        """phase_windows(m, h, e), computed once per run for each (m, h, e)."""
+        key = ("windows", self.m, h, e)
+        windows = self.memo.get(key)
+        if windows is None:
+            windows = self.memo[key] = phase_windows(self.m, h, e)
+        return windows
 
     def _join(self, tag: str, share: Optional[tuple[int, str]], round_no: int) -> None:
         """Enter the gossip group of a phase when the label holds its share i:
@@ -225,7 +267,7 @@ class MainProgram(NodeProgram):
         self.height = height
         self.round_height = round_no
         e = self.params.block_len
-        self.windows = phase_windows(self.m, height, e)
+        self.windows = self._schedule(height, e)
         self._join("slot", self.label.slot_share, round_no)
         self._join("shape", self.label.shape_share, round_no)
         # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in
@@ -290,7 +332,7 @@ class MainProgram(NodeProgram):
             if group.my_id == 1:
                 self.slot = decode_shares([lab.slot_share for lab in labels], self.m)
         else:
-            self.my_subtree = gossip_subtree(group.labels, group.edges, group.my_id)
+            self.my_subtree = gossip_subtree(group.labels, group.edges, group.my_id, self.memo)
             if group.my_id == 1:
                 self.shape_index = decode_shares([lab.shape_share for lab in labels])
 
@@ -387,4 +429,5 @@ class MainProgram(NodeProgram):
 
 
 def main_programs(labels: dict[int, MainLabel]) -> dict[int, MainProgram]:
-    return {v: MainProgram(lab) for v, lab in labels.items()}
+    memo: dict = {}
+    return {v: MainProgram(lab, memo) for v, lab in labels.items()}

@@ -509,6 +509,23 @@ def test_permutation_sweep_totals():
     }
 
 
+def test_borrowed_sweep_totals():
+    # Each tree of scripts/mutation_sweep.py that has a partner (same size and
+    # protocol, another shape) runs once with the partner's labels; none crashes.
+    per_tree = _mutation_sweep().borrowed_sweep()
+    assert [name for name, counts in per_tree.items() if counts] == [
+        "two-hub(9)",
+        "random_tree(8, 6, 1)",
+        "random_tree(16, 6, 2)",
+        "random_tree(4, 8, 3)",
+    ]
+    assert sum(per_tree.values(), Counter()) == {
+        "invalid run": 1,
+        "run failed": 1,
+        "run failed (round limit)": 2,
+    }
+
+
 class Counted(NodeProgram):
     """Passes a program through and records each round it is asked to decide
     in with nothing on its agenda."""

@@ -225,6 +225,7 @@ class TestGossipSubtree:
         # A light subtree gossips as one group: members numbered 1..k in BFS
         # order, each must find exactly its own subtree of the input tree.
         rng = SplitMix(11)
+        memo = {}  # shared by all the groups, as one run's programs share it
         for _ in range(100):
             delta = (3, 4, 6, 8, 16)[rng.randint(0, 4)]
             tree = random_tree(delta, 4 + 2 * rng.randint(0, 3), rng.randint(1, 10**6))
@@ -244,6 +245,7 @@ class TestGossipSubtree:
             for member, gid in ids.items():
                 form = rt.form(member)
                 assert gossip_subtree(labels, edges, gid) == Subtree(form, form)
+                assert gossip_subtree(labels, edges, gid, memo) == Subtree(form, form)
 
     @pytest.mark.parametrize(
         "ids, edges",
@@ -256,8 +258,84 @@ class TestGossipSubtree:
     )
     def test_bad_gossip_raises_protocol_violation(self, ids, edges):
         labels = {i: dummy_label(i) for i in ids}
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation) as alone:
             gossip_subtree(labels, edges, 1)
+        # A group that fails is never stored, so every member fails alike.
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(ProtocolViolation) as shared:
+                gossip_subtree(labels, edges, 1, memo)
+            assert str(shared.value) == str(alone.value)
+        assert memo == {}
+
+    def test_one_run_builds_each_group_shape_once(self, monkeypatch):
+        # random_tree(256, 6, 1) has 269 shape-gossip members in groups of
+        # one and two nodes; each distinct group is built and rooted once.
+        calls, builds = [], []
+        real_subtree, real_tree = protocol_main.gossip_subtree, protocol_main.Tree
+
+        def counted_subtree(labels, edges, my_gid, memo=None):
+            calls.append((len(labels), frozenset(edges)))
+            return real_subtree(labels, edges, my_gid, memo)
+
+        def counted_tree(n, edges):
+            builds.append(n)
+            return real_tree(n, edges)
+
+        monkeypatch.setattr(protocol_main, "gossip_subtree", counted_subtree)
+        monkeypatch.setattr(protocol_main, "Tree", counted_tree)
+        tree = random_tree(256, 6, 1)
+        lb, programs, outputs, _, _ = run_main(tree)
+        assert all(check_run(tree, outputs).values())
+        groups = set(calls)
+        assert max(size for size, _ in groups) >= 2
+        assert len(builds) == len(groups) < len(calls)
+        memo = programs[0].memo
+        assert all(p.memo is memo for p in programs.values())
+        assert sum(key[0] == "group" for key in memo) == len(groups)
+
+    def test_one_run_computes_each_schedule_once(self, monkeypatch):
+        computed = []
+        real = protocol_main.phase_windows
+
+        def counted(m, h, e):
+            computed.append((m, h, e))
+            return real(m, h, e)
+
+        monkeypatch.setattr(protocol_main, "phase_windows", counted)
+        lb, programs, _, _, _ = run_main(random_tree(64, 8, 1))
+        m, h, e = lb.params.core_size, lb.rooted.height, lb.params.block_len
+        assert sorted(computed) == [(m, 0, 0), (m, h, e)]
+        windows = {id(p.windows) for p in programs.values()}
+        assert len(windows) == 1
+
+
+class TestGossipMessage:
+    def test_message_is_rebuilt_only_after_a_change(self):
+        # Seeded absorbs, contradicting labels for one id included: after
+        # each, message() is the freshly sorted tuple of all heard so far.
+        rng = SplitMix(5)
+        variants = {i: (dummy_label(i), replace(dummy_label(i), slot_echo=True)) for i in range(1, 6)}
+        state = GossipState("shape", 1, variants[1][0])
+        labels, edges = {1: variants[1][0]}, set()
+        for _ in range(200):
+            sender = rng.randint(2, 5)
+            heard = {sender: variants[sender][rng.randint(0, 1)]}
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randint(1, 5)
+                heard[i] = variants[i][rng.randint(0, 1)]
+            pairs = set()
+            for _ in range(rng.randint(0, 2)):
+                a, b = sorted((rng.randint(1, 5), rng.randint(1, 5)))
+                if a != b:
+                    pairs.add((a, b))
+            message = ("gossip", "shape", sender, tuple(sorted(heard.items())), tuple(sorted(pairs)))
+            state.absorb(message)
+            labels.update(heard)
+            edges |= pairs | {(1, sender)}
+            want = ("gossip", "shape", 1, tuple(sorted(labels.items())), tuple(sorted(edges)))
+            assert state.message() == want
+            assert state.message() is state.message()
 
 
 class TestDecodeShares:

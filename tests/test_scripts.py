@@ -17,7 +17,11 @@ REPO = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "script, args, header",
     [
-        ("round_scaling.py", ["4"], "  D   degree    nodes   rounds  rounds/(D*degree)  seconds"),
+        (
+            "round_scaling.py",
+            ["4"],
+            "  D   degree    nodes   rounds  rounds/(D*degree)  seconds deliveries us/delivery",
+        ),
         ("label_scaling.py", ["4", "5"], "    degree    nodes  max label bits"),
         ("cli_memory.py", ["16"], "random_tree(16, 8, 1): n = 29"),
     ],
