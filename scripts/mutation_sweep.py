@@ -50,7 +50,7 @@ from radiotopo.labels import LabelKind, StructuredLabel
 from radiotopo.protocol_line import path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.scheme import bits_of, chunk, label_tree
-from radiotopo.trees import Tree, root_at
+from radiotopo.trees import OrbitInterner, Tree
 
 TREES = {
     "path_tree(3)": path_tree(3),
@@ -175,9 +175,13 @@ def tree_permutation_outcomes(tree: Tree) -> Counter:
     return Counter(outcome(tree, perm) for perm in label_permutations(labels, random.Random(1)))
 
 
-def shape(tree: Tree) -> str:
-    """The least center-rooted canonical form: equal exactly for isomorphic trees."""
-    return min(root_at(tree, c).form(c) for c in tree.center)
+ORBITS = OrbitInterner()
+
+
+def shape(tree: Tree) -> tuple[int, ...]:
+    """The tree's center key from the script's one interner, as check_run
+    compares it: equal exactly for isomorphic trees."""
+    return ORBITS.orbit_ids(tree)[0]
 
 
 def borrowed_partner(tree: Tree) -> Optional[Tree]:

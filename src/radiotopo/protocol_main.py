@@ -17,16 +17,15 @@ The core window and the start of "parameter" depend on m alone, which every
 label carries; a node knows the rest once it has learned h and E, strictly
 before it needs them.
 
-A run's programs share one memo dict, made by main_programs, for the facts
-every member of a group derives alike: the schedule of each (m, h, E),
-under ("windows", m, h, E), and the canonical forms of each gossiped group
-shape, under ("group", size, sorted edges), so one rooting serves every
-member.  Entries are read-only once stored, and the memo lives as long as
-the run's programs.
+Facts that depend on values alone are shared through bounded process-wide
+tables, like derive_params: phase_windows computes each (m, h, E) schedule
+once, and group_forms roots each gossiped group shape once, so every member
+of every run reads the same read-only result.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .engine import MissingChunk, NodeProgram, ProtocolViolation, transmit
@@ -96,31 +95,25 @@ class GossipState:
             self._message = None
 
 
-def gossip_subtree(
-    labels: dict[int, MainLabel],
-    edges: set[tuple[int, int]],
-    my_gid: int,
-    memo: Optional[dict] = None,
-) -> Subtree:
+@lru_cache(maxsize=1024)
+def group_forms(size: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
+    """Canonical form of each member's subtree, by id - 1, of a group with
+    ids 1..size rooted at id 1.  A group that is not a tree raises and, like
+    any raising call of the table, stores nothing."""
+    try:
+        group = Tree(size, [(a - 1, b - 1) for a, b in edges])
+    except TreeError as exc:
+        raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from None
+    return root_at(group, 0).forms
+
+
+def gossip_subtree(labels: dict[int, MainLabel], edges: set[tuple[int, int]], my_gid: int) -> Subtree:
     """Subtree of the gossiped group hanging at member my_gid, with the group
-    rooted at id 1; its layout is its canonical form.  A memo holds the
-    forms of each group shape that passed as a tree, so members of equal
-    groups build, validate and root one Tree; a group that fails stores
-    nothing, and each member raises alike."""
+    rooted at id 1; its layout is its canonical form."""
     ids = sorted(labels)
     if ids != list(range(1, len(ids) + 1)):
         raise ProtocolViolation(f"gossip ids not contiguous: {ids}")
-    key = ("group", len(ids), tuple(sorted(edges)))
-    forms = None if memo is None else memo.get(key)
-    if forms is None:
-        try:
-            group = Tree(len(ids), [(a - 1, b - 1) for a, b in edges])
-        except TreeError as exc:
-            raise ProtocolViolation(f"gossiped group is not a tree: {exc}") from None
-        forms = root_at(group, 0).forms
-        if memo is not None:
-            memo[key] = forms
-    form = forms[my_gid - 1]
+    form = group_forms(len(ids), tuple(sorted(edges)))[my_gid - 1]
     return Subtree(form, form)
 
 
@@ -170,9 +163,11 @@ def child_place(rt: RootedTree, parent_place: int, form: str) -> int:
     raise ProtocolViolation("no child of the parent's place has this node's shape")
 
 
+@lru_cache(maxsize=256)
 def phase_windows(m: int, h: int, e: int) -> dict[str, tuple[int, int]]:
     """Inclusive round window of each phase, for core size m, height h and
-    half-epoch length E; the last round of "assemble" is the round bound."""
+    half-epoch length E; the last round of "assemble" is the round bound.
+    Equal arguments share one dict, which no caller changes."""
     m2 = m * m
     t0 = m2 + 3 * h
     t1 = t0 + 2 * m2
@@ -188,18 +183,16 @@ def phase_windows(m: int, h: int, e: int) -> dict[str, tuple[int, int]]:
 
 
 class MainProgram(NodeProgram):
-    """State machine run by every node of a labeled tree.  memo is the run's
-    shared memo (see the module docstring); a program built alone gets its own."""
+    """State machine run by every node of a labeled tree."""
 
-    def __init__(self, label: MainLabel, memo: Optional[dict] = None):
+    def __init__(self, label: MainLabel):
         super().__init__()
         self.label = label
-        self.memo = {} if memo is None else memo
         self.m = label.core_size
         self.is_root = label.marker(MARK_ROOT)
         # The core window and the start of "parameter" do not depend on h or
         # E; the full schedule replaces this once the height is known.
-        self.windows = self._schedule(0, 0)
+        self.windows = phase_windows(self.m, 0, 0)
 
         self.delta: Optional[int] = None
         self.params: Optional[SchemeParams] = None
@@ -223,14 +216,6 @@ class MainProgram(NodeProgram):
         self.flood_seen = False
         self.tr_transmits = label.marker(MARK_HEAVY) or label.count_share is not None
         self.child_epoch = (0, -1)  # inclusive round window of children's epoch
-
-    def _schedule(self, h: int, e: int) -> dict[str, tuple[int, int]]:
-        """phase_windows(m, h, e), computed once per run for each (m, h, e)."""
-        key = ("windows", self.m, h, e)
-        windows = self.memo.get(key)
-        if windows is None:
-            windows = self.memo[key] = phase_windows(self.m, h, e)
-        return windows
 
     def _join(self, tag: str, share: Optional[tuple[int, str]], round_no: int) -> None:
         """Enter the gossip group of a phase when the label holds its share i:
@@ -267,7 +252,7 @@ class MainProgram(NodeProgram):
         self.height = height
         self.round_height = round_no
         e = self.params.block_len
-        self.windows = self._schedule(height, e)
+        self.windows = phase_windows(self.m, height, e)
         self._join("slot", self.label.slot_share, round_no)
         self._join("shape", self.label.shape_share, round_no)
         # Epoch j of the collection runs from lo + (j-1)*2E; level l sends in
@@ -332,7 +317,7 @@ class MainProgram(NodeProgram):
             if group.my_id == 1:
                 self.slot = decode_shares([lab.slot_share for lab in labels], self.m)
         else:
-            self.my_subtree = gossip_subtree(group.labels, group.edges, group.my_id, self.memo)
+            self.my_subtree = gossip_subtree(group.labels, group.edges, group.my_id)
             if group.my_id == 1:
                 self.shape_index = decode_shares([lab.shape_share for lab in labels])
 
@@ -429,5 +414,4 @@ class MainProgram(NodeProgram):
 
 
 def main_programs(labels: dict[int, MainLabel]) -> dict[int, MainProgram]:
-    memo: dict = {}
-    return {v: MainProgram(lab, memo) for v, lab in labels.items()}
+    return {v: MainProgram(lab) for v, lab in labels.items()}

@@ -59,11 +59,12 @@ class CarrierLabel:
 
 
 def _carrier_labels(
-    leaves: list[int], c: int, kind: LabelKind, null_kind: LabelKind
+    leaves: list[int], c: int, kind: LabelKind, null: CarrierLabel
 ) -> dict[int, CarrierLabel]:
-    """Spread binary(len(leaves)) in c-bit chunks over the first leaves."""
+    """Spread binary(len(leaves)) in c-bit chunks over the first leaves; the
+    rest all hold the one null label."""
     pieces = chunk(bits_of(len(leaves)), c)
-    labels = {leaf: CarrierLabel(kind=null_kind) for leaf in leaves}
+    labels = dict.fromkeys(leaves, null)
     for i, piece in pieces:
         labels[leaves[i - 1]] = CarrierLabel(kind=kind, last=i == len(pieces), carrier_id=i, piece=piece)
     return labels
@@ -83,8 +84,9 @@ def label_d3(tree: Tree) -> dict[int, CarrierLabel]:
     root_leaves, hub_leaves = (
         sorted(w for w in tree.adjacency[x] if tree.degree(w) == 1) for x in (root, hub)
     )
-    labels = _carrier_labels(root_leaves, c, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL)
-    labels.update(_carrier_labels(hub_leaves, c, LabelKind.D3_LEAF, LabelKind.D3_LEAF_NULL))
+    null = CarrierLabel(kind=LabelKind.D3_LEAF_NULL)
+    labels = _carrier_labels(root_leaves, c, LabelKind.D3_LEAF, null)
+    labels.update(_carrier_labels(hub_leaves, c, LabelKind.D3_LEAF, null))
     root_carriers = len(chunk(bits_of(len(root_leaves)), c))
     labels[root] = CarrierLabel(kind=LabelKind.D3_ROOT)
     labels[hub] = CarrierLabel(kind=LabelKind.D3_HUB, far_carriers=root_carriers)
@@ -108,7 +110,8 @@ def label_star(tree: Tree, delta: Optional[int] = None) -> dict[int, CarrierLabe
     labels = {hub: CarrierLabel(kind=LabelKind.STAR_CENTER)}
     leaves = sorted(v for v in range(tree.n) if v != hub)
     c = chunk_len(delta)
-    labels.update(_carrier_labels(leaves, c, LabelKind.STAR_LEAF, LabelKind.STAR_LEAF_NULL))
+    null = CarrierLabel(kind=LabelKind.STAR_LEAF_NULL)
+    labels.update(_carrier_labels(leaves, c, LabelKind.STAR_LEAF, null))
     return labels
 
 

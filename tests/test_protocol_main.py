@@ -224,8 +224,9 @@ class TestGossipSubtree:
     def test_matches_extracted_subtree_on_random_cores(self):
         # A light subtree gossips as one group: members numbered 1..k in BFS
         # order, each must find exactly its own subtree of the input tree.
+        protocol_main.group_forms.cache_clear()
         rng = SplitMix(11)
-        memo = {}  # shared by all the groups, as one run's programs share it
+        groups, calls = set(), 0
         for _ in range(100):
             delta = (3, 4, 6, 8, 16)[rng.randint(0, 4)]
             tree = random_tree(delta, 4 + 2 * rng.randint(0, 3), rng.randint(1, 10**6))
@@ -242,10 +243,15 @@ class TestGossipSubtree:
                 for u, w in tree.edges
                 if u in ids and w in ids
             }
+            groups.add((len(ids), frozenset(edges)))
             for member, gid in ids.items():
                 form = rt.form(member)
                 assert gossip_subtree(labels, edges, gid) == Subtree(form, form)
-                assert gossip_subtree(labels, edges, gid, memo) == Subtree(form, form)
+                calls += 1
+        # Each distinct group is rooted once; every other member reads its forms.
+        info = protocol_main.group_forms.cache_info()
+        assert info.misses == info.currsize == len(groups)
+        assert info.hits + info.misses == calls
 
     @pytest.mark.parametrize(
         "ids, edges",
@@ -258,15 +264,15 @@ class TestGossipSubtree:
     )
     def test_bad_gossip_raises_protocol_violation(self, ids, edges):
         labels = {i: dummy_label(i) for i in ids}
-        with pytest.raises(ProtocolViolation) as alone:
-            gossip_subtree(labels, edges, 1)
+        protocol_main.group_forms.cache_clear()
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ProtocolViolation) as failed:
+                gossip_subtree(labels, edges, 1)
+            messages.add(str(failed.value))
         # A group that fails is never stored, so every member fails alike.
-        memo = {}
-        for _ in range(2):
-            with pytest.raises(ProtocolViolation) as shared:
-                gossip_subtree(labels, edges, 1, memo)
-            assert str(shared.value) == str(alone.value)
-        assert memo == {}
+        assert len(messages) == 1
+        assert protocol_main.group_forms.cache_info().currsize == 0
 
     def test_one_run_builds_each_group_shape_once(self, monkeypatch):
         # random_tree(256, 6, 1) has 269 shape-gossip members in groups of
@@ -274,9 +280,9 @@ class TestGossipSubtree:
         calls, builds = [], []
         real_subtree, real_tree = protocol_main.gossip_subtree, protocol_main.Tree
 
-        def counted_subtree(labels, edges, my_gid, memo=None):
+        def counted_subtree(labels, edges, my_gid):
             calls.append((len(labels), frozenset(edges)))
-            return real_subtree(labels, edges, my_gid, memo)
+            return real_subtree(labels, edges, my_gid)
 
         def counted_tree(n, edges):
             builds.append(n)
@@ -284,30 +290,46 @@ class TestGossipSubtree:
 
         monkeypatch.setattr(protocol_main, "gossip_subtree", counted_subtree)
         monkeypatch.setattr(protocol_main, "Tree", counted_tree)
+        protocol_main.group_forms.cache_clear()
         tree = random_tree(256, 6, 1)
-        lb, programs, outputs, _, _ = run_main(tree)
+        _, _, outputs, _, _ = run_main(tree)
         assert all(check_run(tree, outputs).values())
         groups = set(calls)
         assert max(size for size, _ in groups) >= 2
-        assert len(builds) == len(groups) < len(calls)
-        memo = programs[0].memo
-        assert all(p.memo is memo for p in programs.values())
-        assert sum(key[0] == "group" for key in memo) == len(groups)
+        info = protocol_main.group_forms.cache_info()
+        assert len(builds) == info.misses == len(groups) < len(calls)
+        assert info.hits + info.misses == len(calls)
 
-    def test_one_run_computes_each_schedule_once(self, monkeypatch):
-        computed = []
-        real = protocol_main.phase_windows
-
-        def counted(m, h, e):
-            computed.append((m, h, e))
-            return real(m, h, e)
-
-        monkeypatch.setattr(protocol_main, "phase_windows", counted)
+    def test_one_run_computes_each_schedule_once(self):
+        protocol_main.phase_windows.cache_clear()
         lb, programs, _, _, _ = run_main(random_tree(64, 8, 1))
         m, h, e = lb.params.core_size, lb.rooted.height, lb.params.block_len
-        assert sorted(computed) == [(m, 0, 0), (m, h, e)]
-        windows = {id(p.windows) for p in programs.values()}
-        assert len(windows) == 1
+        assert protocol_main.phase_windows.cache_info().misses == 2
+        # The two schedules computed are the core one and the full one.
+        _, full = phase_windows(m, 0, 0), phase_windows(m, h, e)
+        assert protocol_main.phase_windows.cache_info().misses == 2
+        assert all(p.windows is full for p in programs.values())
+
+    def test_second_run_builds_no_group_and_computes_no_schedule(self, monkeypatch):
+        # The schedules and group forms are values shared across runs: a
+        # second run of a tree reads every one from the first.
+        tree = random_tree(256, 6, 1)
+        run_tree(tree)
+        builds = []
+        real_tree = protocol_main.Tree
+
+        def counted_tree(n, edges):
+            builds.append(n)
+            return real_tree(n, edges)
+
+        monkeypatch.setattr(protocol_main, "Tree", counted_tree)
+        windows = protocol_main.phase_windows.cache_info()
+        groups = protocol_main.group_forms.cache_info()
+        assert run_tree(tree).report.ok
+        assert builds == []
+        assert protocol_main.phase_windows.cache_info().misses == windows.misses
+        again = protocol_main.group_forms.cache_info()
+        assert again.misses == groups.misses and again.hits > groups.hits
 
 
 class TestGossipMessage:
