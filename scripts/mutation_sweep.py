@@ -235,12 +235,12 @@ def borrowed_sweep() -> dict[str, Counter]:
 
 def report(what: str, run_sweep) -> int:
     """Print how the runs of one sweep end; returns how many end in a fault."""
-    start = time.time()
+    start = time.perf_counter()
     total: Counter = Counter()
     for name, counts in run_sweep().items():
         print(f"{name}: {sum(counts.values())} {what}, {dict(sorted(counts.items()))}")
         total += counts
-    print(f"all: {sum(total.values())} {what} in {time.time() - start:.1f}s")
+    print(f"all: {sum(total.values())} {what} in {time.perf_counter() - start:.1f}s")
     for kind, count in sorted(total.items()):
         print(f"  {kind:40} {count}")
     return sum(

@@ -27,9 +27,9 @@ def main() -> int:
           f"{'seconds':>8} {'deliveries':>10} {'us/delivery':>11} {'us/node':>8}")
     for diameter in (4, 8):
         for exp in range(4, hi + 1):
-            start = time.time()
+            start = time.perf_counter()
             art = run_tree(random_tree(1 << exp, diameter, 1))
-            seconds = time.time() - start
+            seconds = time.perf_counter() - start
             rep = art.report
             ratio = rep.rounds / (rep.diameter * rep.delta)
             deliveries = sum(len(rec.deliveries) for rec in art.transcript.records.values())

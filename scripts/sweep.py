@@ -26,12 +26,12 @@ family=stars
 
 def main() -> int:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "sweep.csv"
-    start = time.time()
+    start = time.perf_counter()
     csv_text, ok = run_experiment(CONFIG)
     with open(out_path, "w") as fh:
         fh.write(csv_text)
     rows = csv_text.count("\n") - 1
-    print(f"{rows} runs -> {out_path} in {time.time() - start:.1f}s")
+    print(f"{rows} runs -> {out_path} in {time.perf_counter() - start:.1f}s")
     print(CSV_HEADER)
     for line in csv_text.splitlines()[1:6]:
         print(line)

@@ -73,26 +73,21 @@ class NodeProgram:
 
     A program keeps its schedule on one agenda of (step, args) entries keyed
     by round: at(round, step, *args) runs step(round, *args) in that round,
-    send(round, message) schedules transmit(round, message), and a round
-    already past never comes.  decide(round) is called only for a round on
-    the agenda; the default runs its steps in the order they were added and
-    sends the last message they returned.  A round entering the agenda for
-    the first time is also appended to new_rounds, which the simulator
-    reads and empties after each call.
+    and send(round, message) schedules transmit(round, message).
+    decide(round) is called only for a round on the agenda; the default pops
+    the round, runs its steps in the order they were added and sends the
+    last message they returned.  The agenda is the one schedule: the
+    simulator reads it at the start and after each round the node is called
+    in; a program only adds entries to it; a round already past never comes.
     """
 
     output: Optional[tuple[Tree, int]] = None
 
     def __init__(self):
         self.agenda: dict[int, list] = {}
-        self.new_rounds: list[int] = []
 
     def at(self, round_no: int, step, *args) -> None:
-        steps = self.agenda.get(round_no)
-        if steps is None:
-            self.agenda[round_no] = steps = []
-            self.new_rounds.append(round_no)
-        steps.append((step, args))
+        self.agenda.setdefault(round_no, []).append((step, args))
 
     def send(self, round_no: int, message) -> None:
         self.at(round_no, transmit, message)
@@ -167,11 +162,12 @@ def simulate(
     """Drive all programs until every node has output, recording a transcript.
 
     Only rounds on some agenda are stepped, from a heap: decide is called on
-    the nodes with a step due, in node order, and receive on each
-    delivery; after each call the later rounds in the node's new_rounds join
-    the heap and the list is emptied in place.  The run fails when no round
-    within max_rounds is left and a node has no output; the failure says,
-    for the first stuck nodes, which round each would act in next.
+    the nodes with a step due, in node order, and receive on each delivery.
+    Each node's agenda is its one schedule: its later rounds join the heap
+    when the run starts and at the end of each round the node is called in.
+    The run fails when no round within max_rounds is left and a node has no
+    output; the failure says, for the first stuck nodes, which round each
+    would act in next.
     """
     if set(programs) != set(range(tree.n)):
         raise ValueError("need exactly one program per node")
@@ -181,18 +177,17 @@ def simulate(
     due: dict[int, set[int]] = {}  # round -> nodes with a step in it
     heap: list[int] = []
 
-    def queue(v: int, new_rounds: list[int], after: int) -> None:
-        for round_no in new_rounds:
+    def queue(v: int, after: int) -> None:
+        for round_no in programs[v].agenda:
             if round_no > after:
                 nodes = due.get(round_no)
                 if nodes is None:
                     due[round_no] = nodes = set()
                     heapq.heappush(heap, round_no)
                 nodes.add(v)
-        new_rounds.clear()
 
     for v in range(tree.n):
-        queue(v, programs[v].new_rounds, 0)
+        queue(v, 0)
     transcript = Transcript()
     pending = set(range(tree.n))
     while pending and heap and heap[0] <= max_rounds:
@@ -202,19 +197,13 @@ def simulate(
         # One handler for every program call of the round; v is the caller.
         try:
             for v in called:
-                program = programs[v]
-                msg = program.decide(round_no)
+                msg = programs[v].decide(round_no)
                 if msg is not None:
                     payloads[v] = msg
-                if program.new_rounds:
-                    queue(v, program.new_rounds, round_no)
             if payloads:
                 deliveries = deliveries_of(adjacency, payloads)
                 for v, w in deliveries:
-                    program = programs[v]
-                    program.receive(round_no, payloads[w])
-                    if program.new_rounds:
-                        queue(v, program.new_rounds, round_no)
+                    programs[v].receive(round_no, payloads[w])
                 called.extend(v for v, _ in deliveries)
                 transcript.records[round_no] = RoundRecord(tuple(payloads), tuple(deliveries))
         except RunFailed as exc:
@@ -226,14 +215,17 @@ def simulate(
             raise ProtocolViolation(f"node {v}, round {round_no}: {exc!r}") from exc
         transcript.rounds = round_no
         for v in called:
+            queue(v, round_no)
             if v in pending and programs[v].output is not None:
                 transcript.output_round[v] = round_no
                 pending.discard(v)
     if pending:
-        # Every round left in due is past the budget.
+        # An agenda round within the budget had passed when it was added.
         missing = sorted(pending)
-        first = missing[:RoundLimitExceeded.EXPLAINED]
-        next_round = {v: min((r for r, nodes in due.items() if v in nodes), default=None) for v in first}
+        next_round = {
+            v: min((r for r in programs[v].agenda if r > max_rounds), default=None)
+            for v in missing[:RoundLimitExceeded.EXPLAINED]
+        }
         raise RoundLimitExceeded(missing, tree.n, max_rounds, next_round)
     outputs = {v: programs[v].output for v in range(tree.n)}
     metrics = Metrics(

@@ -130,7 +130,8 @@ class LeafProgram(NodeProgram):
     def __init__(self, label: CarrierLabel):
         super().__init__()
         self.label = label
-        self.send(label.carrier_id, ("carrier", label))
+        if label.carrier_id:
+            self.send(label.carrier_id, ("carrier", label))
 
     def receive(self, round_no: int, message) -> None:
         if message[0] == "tree" and self.output is None:

@@ -134,6 +134,22 @@ class TestSimulateContract:
             "node 2: next agenda round 12, past the budget"
         )
 
+    def test_round_limit_names_the_round_past_the_budget_not_a_past_one(self):
+        # Node 1's step in round 3 plans its output for round 2, which never
+        # comes; both engines name its round 9, past the budget.
+        messages = []
+        for engine in (simulate, polling_simulate):
+            late = Script(out_round=9)
+            late.at(3, lambda r: late.at(r - 1, late._finish))
+            with pytest.raises(RoundLimitExceeded) as err:
+                engine(path(2), {0: Script(out_round=2), 1: late}, 5)
+            assert sorted(late.agenda) == [2, 9]
+            messages.append(str(err.value))
+        assert messages == 2 * [
+            "no output from 1 of 2 nodes within the round limit 5: nodes 1; "
+            "node 1: next agenda round 9, past the budget"
+        ]
+
     def test_round_limit_message_stays_short_for_many_stuck_nodes(self):
         class Silent(NodeProgram):
             def receive(self, round_no, message):
@@ -337,7 +353,12 @@ class TestAgenda:
         simulate(path(2), programs, 22)
         assert chained.called == [5, 8, 20]
         assert programs[0].heard == {8: "pong"}
-        assert chained.new_rounds == []
+
+    @pytest.mark.parametrize("name", sorted(PARITY_TREES))
+    def test_no_agenda_keeps_a_round_that_never_comes(self, name):
+        art = run_tree(PARITY_TREES[name]())
+        stale = [(v, r) for v, p in art.programs.items() for r in p.agenda if r <= art.transcript.rounds]
+        assert stale == []
 
     @pytest.mark.parametrize("name", ["line", "star", "d3", "main"])
     def test_no_protocol_schedules_a_lambda(self, monkeypatch, name):
@@ -533,7 +554,6 @@ class Counted(NodeProgram):
     def __init__(self, program, idle):
         self.program = program
         self.agenda = program.agenda
-        self.new_rounds = program.new_rounds
         self.idle = idle
         self.calls = 0
 
@@ -552,7 +572,9 @@ class Counted(NodeProgram):
         self.program.receive(round_no, message)
 
 
-@pytest.mark.parametrize("tree", [random_tree(64, 8, 1), PARITY_TREES["line"](), star(9)])
+@pytest.mark.parametrize(
+    "tree", [random_tree(64, 8, 1), PARITY_TREES["line"](), star(9), PARITY_TREES["d3"]()]
+)
 def test_no_node_is_called_without_an_action_or_a_delivery(tree):
     protocol = dispatch_protocol(tree)
     labels, _ = structured_labels_for(tree, protocol)

@@ -623,7 +623,6 @@ class TagRecorder(NodeProgram):
     def __init__(self, program, sent):
         self.program = program
         self.agenda = program.agenda
-        self.new_rounds = program.new_rounds
         self.sent = sent
 
     @property

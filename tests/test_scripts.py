@@ -40,6 +40,7 @@ def run_script(tmp_path, script, args):
         ("label_scaling.py", ["4", "5"], "    degree    nodes  max label bits"),
         ("cli_memory.py", ["16"], "random_tree(16, 8, 1): n = 29"),
     ],
+    ids=["round_scaling", "label_scaling", "cli_memory"],
 )
 def test_report_script_runs(tmp_path, script, args, header):
     done = run_script(tmp_path, script, args)
