@@ -227,6 +227,10 @@ class TestSimulateContract:
         with pytest.raises(ValueError):
             simulate(path(2), {0: Script()}, 5)
 
+    def test_zero_round_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            simulate(path(2), {0: Script(), 1: Script()}, 0)
+
     def test_determinism_byte_identical(self):
         plans = {0: {1: "A", 3: "C"}, 2: {2: "B"}}
         _, t1, _ = run(path(3), plans)

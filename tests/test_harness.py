@@ -305,6 +305,9 @@ class TestBatch:
             ("family=stars\ndelta=2,3\n", "family=stars\ndelta=3\n"),
             ("family=feas\ndelta=2,4\n", "family=feas\ndelta=4\n"),
             ("family=lines\ndiameter=1,4\n", "family=lines\ndiameter=4\n"),
+            # Below the families' minimum diameter and above their desk-scale sizes.
+            ("family=diamLB\ndelta=3\ndiameter=3,4,28\n", "family=diamLB\ndelta=3\ndiameter=4\n"),
+            ("family=degLB\ndelta=4,65\ndiameter=3,4\n", "family=degLB\ndelta=4\ndiameter=4\n"),
         ],
     )
     def test_infeasible_values_are_skipped(self, grid, feasible):
@@ -391,6 +394,12 @@ class TestBatch:
 
 
 class TestCli:
+    def test_usage_errors_exit_2_and_help_exits_0(self, capsys):
+        assert cli_main([]) == 2
+        assert cli_main(["run"]) == 2  # no --tree
+        assert cli_main(["run", "--help"]) == 0
+        assert "--tree" in capsys.readouterr().out
+
     def test_end_to_end_files(self, tmp_path, capsys):
         tree_file = tmp_path / "t.tree"
         tree_file.write_text(tree_to_text(random_tree(3, 4, 1)))
@@ -735,6 +744,9 @@ class TestCli:
             ("labels", "x StarCenter 0111\n", "bad label line 'x StarCenter 0111'"),
             ("tree", "tree x\n", "bad header 'tree x'"),
             ("tree", "tree 2\n0 y\n", "bad edge line '0 y'"),
+            ("tree", "", "empty tree file"),
+            ("tree", "tree 0\n", "tree needs at least one node"),
+            ("tree", "tree 2\n1 1\n", "self-loop at 1"),
         ],
     )
     def test_unparsable_lines_are_named(self, tmp_path, capsys, kind, text, reason):

@@ -18,8 +18,8 @@ from radiotopo.cli import main as cli_main
 from radiotopo.engine import ProtocolViolation
 from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree
-from radiotopo.labels import StructuredLabel, labels_to_text
-from radiotopo.protocol_line import path_tree
+from radiotopo.labels import LabelKind, StructuredLabel, labels_to_text
+from radiotopo.protocol_line import LineLabel, path_tree
 from radiotopo.protocol_small import star_tree
 from radiotopo.scheme import bits_of, chunk, derive_params, label_tree
 from radiotopo.trees import Tree, tree_to_text
@@ -88,6 +88,17 @@ def test_height_heard_before_the_degree_fails_the_run():
     with pytest.raises(RunFailed) as err:
         run_tree(TREES["main"], preset_labels={**labels, 3: labels[20], 20: labels[3]})
     assert str(err.value) == "node 4, round 13: learned the height before the maximum degree"
+    assert err.value.__cause__ is None
+
+
+@pytest.mark.parametrize("node", range(7))
+def test_tiny_line_label_inside_a_longer_line_stalls(node):
+    # No sweep reaches this: the tiny node places itself and drops every
+    # message it hears, so the six line nodes never finish.
+    tree = path_tree(6)
+    tiny = LineLabel(LabelKind.LINE_TINY, tiny_len=3, tiny_pos=2).to_structured()
+    with pytest.raises(RoundLimitExceeded, match="no output from 6 of 7 nodes") as err:
+        run_tree(tree, preset_labels={**run_tree(tree).structured, node: tiny})
     assert err.value.__cause__ is None
 
 
