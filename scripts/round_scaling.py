@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Print how rounds, label bits and a command-line round trip grow with the degree.
+"""Print how rounds, label bits and a command-line round trip grow with the
+degree, and a line run with its length.
 
 Usage: python scripts/round_scaling.py [max_exp]   (default 14, at most 16)
 
-For degree 2^4 .. 2^max_exp, prints three tables:
+For degree 2^4 .. 2^max_exp, prints four tables:
 - the main protocol on random_tree(degree, D, 1) for D = 4 and 8: its
   completion round, rounds / (D * degree), the constant of the paper's
   O(D * degree) bound, its deliveries (a listener hearing its one
   transmitting neighbor) and the whole run's time per delivery and per node
   in microseconds;
+- the line protocol on path_tree(2^k), the line of 2^k edges, for the same
+  exponents: its completion round, deliveries and the whole run's time per
+  delivery;
 - the longest encoded label of the fixed witness tree (see
   harness.scaling_witness) and its step from the previous degree;
 - `radiotopo label`, `radiotopo run --transcript --outputs` and
@@ -43,6 +47,7 @@ from radiotopo.generators import random_tree
 from radiotopo.harness import run_tree, scaling_witness
 from radiotopo.labels import encode
 from radiotopo.scheme import label_tree
+from radiotopo.trees import path_tree
 
 def timed(work):
     start = time.perf_counter()
@@ -50,8 +55,9 @@ def timed(work):
     return done, time.perf_counter() - start
 
 job, args = sys.argv[1], sys.argv[2:]
-if job == "main":
-    art, wall = timed(lambda: run_tree(random_tree(1 << int(args[0]), int(args[1]), 1)))
+if job in ("main", "line"):
+    size = 1 << int(args[0])
+    art, wall = timed(lambda: run_tree(random_tree(size, int(args[1]), 1) if job == "main" else path_tree(size)))
     rep = art.report
     out = dict(n=rep.n, rounds=rep.rounds, ratio=rep.rounds / (rep.diameter * rep.delta), ok=rep.ok,
                deliveries=sum(len(rec.deliveries) for rec in art.transcript.records.values()))
@@ -94,6 +100,17 @@ def main() -> int:
             if not run["ok"]:
                 print(f"run on degree 2^{exp}, D {diameter} does not place every node", file=sys.stderr)
                 failed = True
+
+    print(f"\n{'line':>10} {'nodes':>8} {'rounds':>8} {'deliveries':>10} {'seconds':>8} "
+          f"{'us/delivery':>11} {'peak MB':>8}")
+    for exp in range(4, hi + 1):
+        run = measure("line", exp)
+        print(f"{f'2^{exp}':>10} {run['n']:>8} {run['rounds']:>8} {run['deliveries']:>10} "
+              f"{run['wall_s']:>8.2f} {1e6 * run['wall_s'] / run['deliveries']:>11.2f} "
+              f"{run['peak_mb']:>8.1f}", flush=True)
+        if not run["ok"]:
+            print(f"line run on 2^{exp} edges does not place every node", file=sys.stderr)
+            failed = True
 
     print(f"\n{'degree':>10} {'nodes':>8} {'max label bits':>15} {'step':>5} {'seconds':>8} {'peak MB':>8}")
     prev = None

@@ -141,8 +141,6 @@ def aggregate_children(
         if label.marker(MARK_HEAVY):
             parts.append(part)
             continue
-        if label.count_share is None:
-            raise ProtocolViolation("light child transmitted without a count share")
         entry = light_groups.setdefault(part.form, (part, {}))
         idx, piece = label.count_share
         entry[1][idx] = piece

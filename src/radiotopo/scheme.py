@@ -29,6 +29,7 @@ from .trees import (
     classify_heavy,
     core_subtree,
     enumerate_rooted_trees,
+    root_at,
 )
 
 MARK_ROOT = 0
@@ -233,7 +234,7 @@ def label_tree(tree: Tree) -> LabeledTree:
         )
     params = derive_params(delta)
     m = params.core_size
-    rt = tree.rooted
+    rt = root_at(tree, tree.root)
     n = tree.n
     heavy = classify_heavy(rt, delta)
     slots = assign_slots(rt, heavy)

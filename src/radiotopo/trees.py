@@ -48,7 +48,11 @@ class Tree:
     remains: the `center`, the middle of all longest paths, one node for an
     even diameter and the two ends of the central edge, ascending, for an
     odd one.  The same walk gives `diameter` and `root`, the center or the
-    central edge's end with the larger side, ties to the smaller id.
+    central edge's end with the larger side, ties to the smaller id.  It is
+    also recorded as the tree hung from its center: `peel_parent[v]` is the
+    neighbour v was peeled towards (None for a center), and `peel_order`
+    lists every node as peeled, leaves first and the center last, so each
+    node comes after all the nodes peeled towards it.
     """
 
     n: int
@@ -66,19 +70,22 @@ class Tree:
         adj = self.adjacency
         deg = [len(a) for a in adj]  # -1 once peeled
         side = [1] * n  # v and the nodes peeled off through v
-        alive = n
-        layer = [v for v in range(n) if deg[v] == 1]
+        parent: list[Optional[int]] = [None] * n
+        order: list[int] = []
+        # Leaves read off adj, so the ints peel_order keeps are adjacency's own.
+        layer = [v for a in adj for v in a if deg[v] == 1]
         layers = 0
-        while alive > 2:
+        while n - len(order) > 2:
             # With n-1 edges, no leaf among three or more nodes means a cycle.
             if not layer:
                 raise TreeError("tree is not connected")
             nxt = []
             for v in layer:
                 deg[v] = -1
-                alive -= 1
+                order.append(v)
                 for w in adj[v]:
-                    if deg[w] > 1:
+                    if deg[w] > 0:  # 1 only for a lone center, reached by the last leaf of its layer
+                        parent[v] = w
                         side[w] += side[v]
                         deg[w] -= 1
                         if deg[w] == 1:
@@ -86,7 +93,10 @@ class Tree:
             layer = nxt
             layers += 1
         center = tuple(sorted(layer)) or (0,)
+        order.extend(center)
         root = center[1] if len(center) == 2 and side[center[1]] > side[center[0]] else center[0]
+        object.__setattr__(self, "peel_parent", tuple(parent))
+        object.__setattr__(self, "peel_order", tuple(order))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "diameter", 2 * layers + len(center) - 1)
         object.__setattr__(self, "root", root)
@@ -98,12 +108,6 @@ class Tree:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def rooted(self) -> RootedTree:
-        """The tree rooted at `root`: the one rooted view that the labelers
-        and the orbit ids share."""
-        return root_at(self, self.root)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -130,11 +134,7 @@ def star_tree(k: int) -> Tree:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree with a distinguished root plus derived per-node structure.
-
-    It holds no reference to its Tree, so a Tree that caches its rooted view
-    forms no reference cycle and is freed as soon as it is dropped.
-    """
+    """A tree with a distinguished root plus derived per-node structure."""
 
     root: int
     parent: tuple[Optional[int], ...]
@@ -202,10 +202,10 @@ def root_at(tree: Tree, root: int) -> RootedTree:
 class OrbitInterner:
     """Shared tables giving every node of a tree an automorphism-orbit id.
 
-    A tree is rooted at its center; a central edge roots its two halves at
-    its two ends.  Down-ids are AHU ids, one per sorted tuple of child
-    down-ids; a node's sig is interned from its parent's sig and its own
-    down-id, so it names the shapes on the path from the center.
+    A tree is hung from its center by its leaf peel.  Down-ids are AHU ids,
+    one per sorted tuple of child down-ids; a node's sig is interned from its
+    parent's sig and its own down-id, so it names the shapes on the path from
+    the center.
     Isomorphisms map center to center, so with ids from one interner some
     isomorphism of tree A onto tree B maps v to w exactly when the center
     keys are equal and sig(v) == sig(w).  Interning is exact (dict equality).
@@ -217,17 +217,17 @@ class OrbitInterner:
 
     def orbit_ids(self, tree: Tree) -> tuple[tuple[int, ...], list[int]]:
         """The tree's center key and the sig of every node, in O(n log degree)."""
-        roots = tree.center
-        rt = tree.rooted  # rooted at a center; the other end of a central edge is cut off
+        adj, parent = tree.adjacency, tree.peel_parent
         down = [0] * tree.n
-        for v in reversed(rt.bfs_order):
-            kids = tuple(sorted(down[k] for k in rt.children[v] if k not in roots))
-            down[v] = self._down.setdefault(kids, len(self._down))
+        for v in tree.peel_order:
+            kids = [down[k] for k in adj[v] if parent[k] == v]
+            kids.sort()
+            down[v] = self._down.setdefault(tuple(kids), len(self._down))
         sig = [0] * tree.n
-        for v in rt.bfs_order:
-            up = -1 if v in roots else sig[rt.parent[v]]
-            sig[v] = self._sig.setdefault((up, down[v]), len(self._sig))
-        return tuple(sorted(down[r] for r in roots)), sig
+        for v in reversed(tree.peel_order):
+            up = parent[v]
+            sig[v] = self._sig.setdefault((-1 if up is None else sig[up], down[v]), len(self._sig))
+        return tuple(sorted(down[r] for r in tree.center)), sig
 
 
 def classify_heavy(rt: RootedTree, delta: int) -> frozenset[int]:

@@ -9,7 +9,7 @@ from itertools import zip_longest
 
 import pytest
 
-from radiotopo import harness, scheme
+from radiotopo import harness, protocol_main, scheme, trees
 from radiotopo import labels as codec
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import RoundRecord, RunFailed
@@ -150,6 +150,25 @@ class TestCheckRun:
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "tree",
+        [path_tree(9), star_tree(5), Tree(5, [(0, 1), (0, 2), (1, 3), (1, 4)]), random_tree(16, 6, 1)],
+        ids=["line", "star", "d3", "main"],
+    )
+    def test_check_run_roots_no_tree(self, monkeypatch, tree):
+        # The orbit ids read each tree's leaf peel, not a rooted view.
+        outputs = run_tree(tree).outputs
+        rooted, root_at = [], trees.root_at
+
+        def counted(tree, root):
+            rooted.append((tree.n, root))
+            return root_at(tree, root)
+
+        for module in (trees, scheme, protocol_main):
+            monkeypatch.setattr(module, "root_at", counted)
+        assert all(check_run(tree, outputs).values())
+        assert rooted == []
 
     @pytest.mark.parametrize("tree", [path_tree(9), random_tree(4, 5, 2)])
     def test_equal_separate_trees_same_verdicts(self, tree):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiotopo.harness import run_tree
 from radiotopo.labels import (
     FIELD_COUNTS,
     LabelKind,
@@ -13,6 +14,7 @@ from radiotopo.labels import (
     labels_to_text,
     scheme_length,
 )
+from radiotopo.trees import path_tree
 
 bit_fields = st.text(alphabet="01", min_size=0, max_size=9)
 
@@ -105,6 +107,11 @@ class TestLabelFile:
             2: StructuredLabel(kind=LabelKind.D3_LEAF, fields=("1", "1", "10")),
         }
         assert labels_from_text(labels_to_text(labs)) == labs
+
+    def test_blank_lines_are_skipped(self):
+        labs = run_tree(path_tree(5)).structured
+        padded = "\n \n".join(labels_to_text(labs).splitlines()) + "\n\n\t \n"
+        assert labels_from_text(padded) == labs
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_a_second_line_for_a_node_rejected(self, order):

@@ -1,4 +1,4 @@
-from radiotopo import protocol_line, trees
+from radiotopo import protocol_line, protocol_main, scheme, trees
 from radiotopo.engine import simulate
 from radiotopo.harness import check_mod3, run_tree
 from radiotopo.labels import LabelKind, encode
@@ -96,18 +96,18 @@ class TestLabeling:
         assert line_positions(Tree(2, [(1, 0)])) == [0, 1]
         assert line_positions(Tree(1, [])) == [0]
 
-    def test_a_line_run_roots_only_its_input_and_output_trees(self, monkeypatch):
+    def test_a_line_run_roots_no_tree(self, monkeypatch):
         rooted, root_at = [], trees.root_at
 
         def counted(tree, root):
             rooted.append((tree.n, root))
             return root_at(tree, root)
 
-        for module in (trees, protocol_line):
+        for module in (trees, scheme, protocol_line, protocol_main):
             if hasattr(module, "root_at"):
                 monkeypatch.setattr(module, "root_at", counted)
         assert run_tree(path_tree(64)).report.ok
-        assert rooted == [(65, 32), (65, 32)]
+        assert rooted == []
 
 
 class TestProtocol:

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from radiotopo import MalformedLabel, RoundLimitExceeded, RunFailed, protocol_main
 from radiotopo.cli import main as cli_main
 from radiotopo.engine import ProtocolViolation
-from radiotopo.generators import random_tree
-from radiotopo.harness import run_tree
+from radiotopo.generators import SplitMix, random_tree
+from radiotopo.harness import run_tree, scaling_witness
 from radiotopo.labels import LabelKind, StructuredLabel, labels_to_text
 from radiotopo.protocol_line import LineLabel, path_tree
-from radiotopo.protocol_small import star_tree
-from radiotopo.scheme import bits_of, chunk, derive_params, label_tree
-from radiotopo.trees import Tree, tree_to_text
+from radiotopo.protocol_small import label_star, star_tree
+from radiotopo.scheme import MainLabel, bits_of, chunk, derive_params, label_tree
+from radiotopo.trees import Tree, classify_heavy, parse_form, root_at, tree_to_text
 
 # One small tree per label kind: tiny line, line, star, two-hub, main.
 TWO_HUB = Tree(9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (1, 7), (0, 8)])
@@ -211,3 +211,26 @@ def test_empty_integer_field_is_malformed(tmp_path, capsys, tree, node, field, m
     code, err = run_mutated(tmp_path, capsys, tree, node, field, "")
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_form("10"), "unbalanced canonical form"),
+        (lambda: parse_form("0001"), "unbalanced canonical form"),
+        (lambda: parse_form("0x"), "bad character in form"),
+        (lambda: label_star(star_tree(2), 2), "class bound must be at least 3"),
+        (lambda: scaling_witness(15), "witness needs delta >= 16"),
+        (lambda: classify_heavy(root_at(path_tree(3), 1), 2), "classification needs maximum degree >= 3"),
+        (lambda: chunk("1", 0), "chunk length must be positive"),
+        (lambda: SplitMix(1).randint(2, 1), "empty range"),
+        (lambda: MainLabel.from_structured(StructuredLabel(LabelKind.LINE_TINY, ("11", "00"))),
+         "not a main-scheme label"),
+    ],
+    ids=["form-close-first", "form-left-open", "form-bad-char", "star-bound", "witness-delta",
+         "heavy-delta", "chunk-len", "randint-range", "main-kind"],
+)
+def test_documented_rejections(call, message):
+    # Argument checks that no run reaches: each raises the ValueError it documents.
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -37,7 +37,8 @@ def run_script(tmp_path, script, args):
             "round_scaling.py",
             ["4"],
             "  D   degree    nodes   rounds  rounds/(D*degree)  seconds deliveries us/delivery  us/node  peak MB",
-            [r" +2\^4 +89 +64 .*", r" +2\^4 +29 verify .* exit 0"],  # witness label bits, CLI round trip
+            # line run, witness label bits, CLI round trip
+            [r" +2\^4 +17 +\d+ +\d+ .*", r" +2\^4 +89 +64 .*", r" +2\^4 +29 verify .* exit 0"],
         ),
     ],
     ids=["round_scaling"],

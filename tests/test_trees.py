@@ -136,7 +136,15 @@ class TestTreeRoot:
             size_v = root_at(tree, u).subtree_size[v]
             size_u = tree.n - size_v
             assert tree.root == (u if size_u >= size_v else v)
-        assert tree.rooted is tree.rooted and tree.rooted.root == tree.root
+        for v in range(tree.n):
+            up = tree.peel_parent[v]
+            if v in tree.center:
+                assert up is None
+            else:
+                assert up in tree.adjacency[v] and ecc[up] == ecc[v] - 1
+        order = tree.peel_order
+        assert sorted(order) == list(range(tree.n))
+        assert set(order[tree.n - len(tree.center):]) == set(tree.center)
 
 
 class TestRootAt:
@@ -157,12 +165,12 @@ class TestRootAt:
         with pytest.raises(TreeError):
             root_at(path(3), 7)
 
-    def test_cached_rooted_view_leaves_no_reference_cycle(self):
-        # Reference counting alone frees a tree whose rooted view was read.
+    def test_read_orbit_ids_leave_no_reference_cycle(self):
+        # Reference counting alone frees a tree whose orbit ids were read.
         gc.disable()
         try:
             tree = path(5)
-            assert tree.rooted.forms[tree.root]
+            assert len(OrbitInterner().orbit_ids(tree)[1]) == tree.n
             ref = weakref.ref(tree)
             del tree
             assert ref() is None
